@@ -29,9 +29,12 @@ import numpy as np
 
 from .combinatorics import (
     DEFAULT_PAIR_LIMIT,
+    _check_interval,
+    _check_nk,
     count_intersecting_pairs,
     count_progressions,
     hi_upper_bounds,
+    progression_blocks,
 )
 from .construct import block_length, make_rng, rounds
 from .errors import ParameterError
@@ -43,11 +46,20 @@ PAIR_MODES = ("exact-pairs", "bounded-pairs")
 _CHUNK = 4096
 
 
-def _check_nk(n: int, k: int) -> None:
-    if k < 2:
-        raise ParameterError(f"subset size k must be >= 2, got {k}")
-    if k > n:
-        raise ParameterError(f"subset size k = {k} exceeds the palette size n = {n}")
+def _lower_bound(n: int, k: int, N: int, mode: str,
+                 pair_limit: int) -> tuple[int, tuple[int, ...], Fraction]:
+    """(h, h_i, L) for [N]: h_i exact or entrywise upper bounds, per mode."""
+    if mode not in PAIR_MODES:
+        raise ParameterError(f"pairs mode must be one of {PAIR_MODES}, got {mode!r}")
+    h = count_progressions(N, k)
+    if mode == "exact-pairs":
+        h_i = count_intersecting_pairs(N, k, pair_limit).counts
+    else:
+        h_i = hi_upper_bounds(N, k)
+    L = Fraction(h * factorial(k), n**k)
+    for i, pairs in enumerate(h_i):
+        L -= Fraction(pairs * factorial(k) * factorial(k - i), n ** (2 * k - i))
+    return h, tuple(h_i), L
 
 
 def bonferroni_lower_bound(n: int, k: int, N: int, mode: str = "exact-pairs",
@@ -61,19 +73,8 @@ def bonferroni_lower_bound(n: int, k: int, N: int, mode: str = "exact-pairs",
     is just vacuous there).
     """
     _check_nk(n, k)
-    if N < 1:
-        raise ParameterError(f"interval length N must be >= 1, got {N}")
-    if mode not in PAIR_MODES:
-        raise ParameterError(f"mode must be one of {PAIR_MODES}, got {mode!r}")
-    h = count_progressions(N, k)
-    if mode == "exact-pairs":
-        pair_counts = count_intersecting_pairs(N, k, pair_limit).counts
-    else:
-        pair_counts = hi_upper_bounds(N, k)
-    result = Fraction(h * factorial(k), n**k)
-    for i, pairs in enumerate(pair_counts):
-        result -= Fraction(pairs * factorial(k) * factorial(k - i), n ** (2 * k - i))
-    return result
+    _check_interval(N, k)
+    return _lower_bound(n, k, N, mode, pair_limit)[2]
 
 
 @dataclass(frozen=True)
@@ -95,19 +96,16 @@ def estimate_cover_probability(n: int, k: int, N: int, trials: int, seed: int,
     Reported std_err is the binomial standard error sqrt(p(1-p)/trials).
     """
     _check_nk(n, k)
-    if N < 1:
-        raise ParameterError(f"interval length N must be >= 1, got {N}")
+    _check_interval(N, k)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if N < k:
         # no k-progression fits, so nothing can be covered
         return EstimateResult(0.0, 0.0, trials, seed, rng_name)
     rng = make_rng(seed, rng_name)
-    positions = []
-    for diff in range(1, (N - 1) // (k - 1) + 1):
-        for start in range(N - (k - 1) * diff):
-            positions.append(range(start, start + k * diff, diff))
-    progs = np.array([tuple(r) for r in positions], dtype=np.intp)
+    progs = np.concatenate([positions for _, _, positions in progression_blocks(N, k)])
+    # a sorted int16 row equal to 1..k is the rainbow test here: ranking every
+    # row of the (chunk, h, k) gather would take four times its memory
     target = np.arange(1, k + 1, dtype=np.int16)
     hits = 0
     remaining = trials
@@ -181,20 +179,11 @@ def compute_bounds_report(n: int, k: int, N: Optional[int] = None,
                           log_base: str = "e", force_alpha: bool = False) -> BoundsReport:
     """Assemble the full report; N defaults to the construction block length."""
     _check_nk(n, k)
-    if pairs_mode not in PAIR_MODES:
-        raise ParameterError(f"pairs mode must be one of {PAIR_MODES}, got {pairs_mode!r}")
     if N is None:
         N = block_length(n, k)
-    h = count_progressions(N, k)
-    if pairs_mode == "exact-pairs":
-        h_i = count_intersecting_pairs(N, k, pair_limit).counts
-    else:
-        h_i = hi_upper_bounds(N, k)
-    L = Fraction(h * factorial(k), n**k)
-    for i, pairs in enumerate(h_i):
-        L -= Fraction(pairs * factorial(k) * factorial(k - i), n ** (2 * k - i))
+    h, h_i, L = _lower_bound(n, k, N, pairs_mode, pair_limit)
     return BoundsReport(
-        n=n, k=k, N=N, h=h, h_i=tuple(h_i), pairs_mode=pairs_mode, L=L,
+        n=n, k=k, N=N, h=h, h_i=h_i, pairs_mode=pairs_mode, L=L,
         N_lower=lower_bound_N(n, k),
         construction_length=upper_bound_length(n, k, alpha, log_base, force=force_alpha),
         alpha=alpha)

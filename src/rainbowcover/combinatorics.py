@@ -13,11 +13,17 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import BudgetExceededError, ParameterError
 
 # A full pair scan touches h^2 progression pairs; refuse to start one that a
 # caller did not knowingly budget for.
 DEFAULT_PAIR_LIMIT = 10**8
+
+# Rows per block of progression_blocks: bounds every gather made from a block,
+# whatever N is. Larger blocks raised peak memory and made no scan faster.
+BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -112,20 +118,48 @@ def _check_interval(N: int, k: int) -> None:
         raise ParameterError(f"interval length N must be >= 1, got {N}")
 
 
-def enumerate_progressions(N: int, k: int) -> Iterator[Progression]:
-    """Yield every k-progression inside [N] exactly once.
+def _check_nk(n: int, k: int) -> None:
+    """The subset size k of a palette of n colours must satisfy 2 <= k <= n."""
+    if k < 2:
+        raise ParameterError(f"subset size k must be >= 2, got {k}")
+    if k > n:
+        raise ParameterError(f"subset size k = {k} exceeds the palette size n = {n}")
 
-    Order is ascending common difference, then ascending start, which keeps
-    runs deterministic and scans the interval cache-friendly.
+
+def progression_blocks(N: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield every k-progression inside [N] exactly once, in blocks.
+
+    Order is ascending common difference, then ascending start. A block holds
+    all progressions of a run of consecutive differences, as many as fit in
+    BLOCK_ROWS rows (at least one difference), as (diffs, starts, positions):
+    the common difference and 1-based start of each row, and the (m, k) array
+    of its 0-based terms.
     """
     _check_interval(N, k)
 
     def gen():
-        for diff in range(1, (N - 1) // (k - 1) + 1):
-            for start in range(1, N - (k - 1) * diff + 1):
-                yield Progression(start, diff, k)
+        D = (N - 1) // (k - 1)
+        lo = 1
+        while lo <= D:
+            hi, rows = lo + 1, N - (k - 1) * lo
+            while hi <= D and rows + N - (k - 1) * hi <= BLOCK_ROWS:
+                rows += N - (k - 1) * hi
+                hi += 1
+            counts = N - (k - 1) * np.arange(lo, hi)
+            diffs = np.repeat(np.arange(lo, hi), counts)
+            starts = np.concatenate([np.arange(1, c + 1) for c in counts])
+            yield diffs, starts, (starts - 1)[:, None] + diffs[:, None] * np.arange(k)
+            lo = hi
 
     return gen()
+
+
+def enumerate_progressions(N: int, k: int) -> Iterator[Progression]:
+    """Yield every k-progression inside [N] exactly once, in the order of
+    progression_blocks."""
+    return (Progression(start, diff, k)
+            for diffs, starts, _ in progression_blocks(N, k)
+            for diff, start in zip(diffs.tolist(), starts.tolist()))
 
 
 def count_progressions(N: int, k: int) -> int:
@@ -153,12 +187,8 @@ def count_intersecting_pairs(N: int, k: int,
     if h * h > pair_limit:
         raise BudgetExceededError(
             f"pair scan needs h^2 = {h * h} pair checks (h = {h}), over the limit {pair_limit}")
-    masks = []
-    for prog in enumerate_progressions(N, k):
-        m = 0
-        for p in prog.positions():
-            m |= 1 << p
-        masks.append(m)
+    masks = [sum(1 << p for p in row)
+             for _, _, positions in progression_blocks(N, k) for row in positions.tolist()]
     counts = [0] * k
     for a, b in combinations(masks, 2):
         counts[(a & b).bit_count()] += 1
@@ -193,6 +223,32 @@ def _rank_of_mask(mask: int) -> int:
         j += 1
         m &= m - 1
     return rank
+
+
+def colex_table(n: int, k: int) -> np.ndarray:
+    """The comb table of rainbow_ranks: row j-1 holds C(c, j) for c = j-1, ...,
+    n-k+j-1, the colex terms the j-th smallest colour of a k-subset of [n] can
+    contribute. No entry exceeds C(n,k)."""
+    return np.array([[comb(c, j) for c in range(j - 1, n - k + j)]
+                     for j in range(1, k + 1)], dtype=np.int64)
+
+
+def rainbow_ranks(colors: np.ndarray, positions: np.ndarray,
+                  comb_table: np.ndarray) -> np.ndarray:
+    """Colex rank of the colour set of each progression, -1 where it repeats
+    a colour.
+
+    colors holds the colours (1..n) of the interval, positions the (m, k)
+    0-based terms of m progressions, comb_table is colex_table(n, k). A row is
+    rainbow when its sorted colours c_1 < ... < c_k strictly increase; its rank
+    is then sum_j C(c_j - 1, j).
+    """
+    rows = np.sort(colors[positions], axis=1)
+    rainbow = (np.diff(rows, axis=1) > 0).all(axis=1)
+    k = positions.shape[1]
+    ranks = np.full(len(rows), -1, dtype=np.int64)
+    ranks[rainbow] = comb_table[np.arange(k), rows[rainbow] - np.arange(1, k + 1)].sum(axis=1)
+    return ranks
 
 
 def _check_subset_params(n: int, k: int) -> None:

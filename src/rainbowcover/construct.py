@@ -21,7 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-from .combinatorics import ColorSet, _rank_of_mask, subset_unrank
+from .combinatorics import (
+    ColorSet,
+    _check_nk,
+    colex_table,
+    progression_blocks,
+    rainbow_ranks,
+)
 from .coverage import Coloring, _check_family_size
 from .errors import ParameterError, RoundsExhaustedError
 
@@ -38,6 +44,21 @@ def min_alpha(log_base: str = "e") -> float:
     """Smallest admissible round multiplier, 1/log(2) in the chosen base."""
     _check_log_base(log_base)
     return 1.0 / _LOG[log_base](2)
+
+
+def _check_alpha(alpha: float, log_base: str, force: bool) -> Optional[str]:
+    """Reject a non-finite alpha, and one at or below 1/log(2) unless forced;
+    return the message of a forced violation, for the caller to warn with."""
+    if not math.isfinite(alpha):
+        raise ParameterError(f"alpha must be a finite number, got {alpha}")
+    threshold = min_alpha(log_base)
+    if alpha > threshold:
+        return None
+    message = (f"alpha = {alpha} does not exceed 1/log(2) = {threshold:.6f} "
+               f"for log base {log_base!r}")
+    if not force:
+        raise ParameterError(message)
+    return message
 
 
 def make_rng(seed: int, rng_name: str = "philox") -> np.random.Generator:
@@ -63,10 +84,7 @@ def block_length(n: int, k: int) -> int:
     smallest m with m^2 * k! >= 2*(k-1)*n^k. No floating point is involved,
     hence no off-by-one at near-integer values.
     """
-    if k < 2:
-        raise ParameterError(f"subset size k must be >= 2, got {k}")
-    if k > n:
-        raise ParameterError(f"subset size k = {k} exceeds the palette size n = {n}")
+    _check_nk(n, k)
     radicand_num = 2 * (k - 1) * n**k
     radicand_den = factorial(k)
     m = isqrt(radicand_num // radicand_den)
@@ -81,19 +99,16 @@ def rounds(n: int, k: int, alpha: float, log_base: str = "e",
 
     alpha must exceed 1/log(2) in the same base; that threshold is what makes
     the expected residual family shrink below one subset. `force` downgrades
-    the violation to a warning for exploratory runs.
+    the violation to a warning for exploratory runs; a non-finite alpha is
+    refused even then.
     """
     _check_log_base(log_base)
     if n < 2:
         raise ParameterError(f"palette size n must be >= 2, got {n}")
     if k < 2:
         raise ParameterError(f"subset size k must be >= 2, got {k}")
-    threshold = min_alpha(log_base)
-    if alpha <= threshold:
-        message = (f"alpha = {alpha} does not exceed 1/log(2) = {threshold:.6f} "
-                   f"for log base {log_base!r}")
-        if not force:
-            raise ParameterError(message)
+    message = _check_alpha(alpha, log_base, force)
+    if message:
         warnings.warn(message + "; proceeding anyway", stacklevel=2)
     return math.ceil(alpha * k * _LOG[log_base](n))
 
@@ -136,11 +151,7 @@ class ConstructParams:
         if self.rng_name not in _BIT_GENERATORS:
             raise ParameterError(
                 f"unknown rng {self.rng_name!r}; choose from {sorted(_BIT_GENERATORS)}")
-        _check_log_base(self.log_base)
-        if not self.force_alpha and self.alpha <= min_alpha(self.log_base):
-            raise ParameterError(
-                f"alpha = {self.alpha} does not exceed 1/log(2) = "
-                f"{min_alpha(self.log_base):.6f} for log base {self.log_base!r}")
+        _check_alpha(self.alpha, self.log_base, self.force_alpha)
 
 
 @dataclass(frozen=True)
@@ -177,34 +188,6 @@ class ConstructResult:
     trace: ConstructTrace
 
 
-def _progression_positions(N: int, k: int) -> list[tuple[int, ...]]:
-    """0-based position tuples of all k-progressions in [N], enumeration order."""
-    out = []
-    for diff in range(1, (N - 1) // (k - 1) + 1):
-        for start in range(N - (k - 1) * diff):
-            out.append(tuple(range(start, start + k * diff, diff)))
-    return out
-
-
-def _covered_ranks(colors: tuple[int, ...], progs: list[tuple[int, ...]],
-                   family: set[int]) -> set[int]:
-    """Ranks of family members realized as rainbow progressions by this block."""
-    hit = set()
-    for pos in progs:
-        mask = 0
-        for p in pos:
-            b = 1 << (colors[p] - 1)
-            if mask & b:
-                mask = 0
-                break
-            mask |= b
-        if mask:
-            r = _rank_of_mask(mask)
-            if r in family:
-                hit.add(r)
-    return hit
-
-
 def construct_cover(n: int, k: int, params: ConstructParams) -> ConstructResult:
     """Build an n-colouring covering every k-subset of [n], block by block.
 
@@ -214,48 +197,49 @@ def construct_cover(n: int, k: int, params: ConstructParams) -> ConstructResult:
     a bonus that only the final verification sees. Raises RoundsExhaustedError
     (carrying the residual family) if the family is nonempty after max_rounds.
     """
-    if k < 2:
-        raise ParameterError(f"subset size k must be >= 2, got {k}")
-    if k > n:
-        raise ParameterError(f"subset size k = {k} exceeds the palette size n = {n}")
+    _check_nk(n, k)
     total = _check_family_size(n, k)
     length = block_length(n, k)
     target_rounds = rounds(n, k, params.alpha, params.log_base, force=params.force_alpha)
     max_rounds = params.max_rounds if params.max_rounds is not None else 4 * target_rounds
     rng = make_rng(params.seed, params.rng_name)
-    progs = _progression_positions(length, k)
+    table = colex_table(n, k)
+    progs = [positions for _, _, positions in progression_blocks(length, k)]
 
     trace = ConstructTrace(
         n=n, k=k, alpha=params.alpha, seed=params.seed, rng_name=params.rng_name,
         log_base=params.log_base, samples_per_round=params.samples_per_round,
         max_rounds=max_rounds, block_length=length)
 
-    uncovered = set(range(total))
+    uncovered = np.ones(total, dtype=bool)
     blocks: list[tuple[int, ...]] = []
     for round_index in range(max_rounds):
-        if not uncovered:
+        before = int(np.count_nonzero(uncovered))
+        if not before:
             break
         best_colors: Optional[tuple[int, ...]] = None
-        best_hit: set[int] = set()
+        best_hit = np.empty(0, dtype=np.int64)
         for _ in range(params.samples_per_round):
             candidate = random_coloring(length, n, rng).colors
-            hit = _covered_ranks(candidate, progs, uncovered)
+            colors = np.array(candidate)
+            ranks = np.concatenate([rainbow_ranks(colors, pos, table) for pos in progs])
+            ranks = ranks[ranks >= 0]
+            hit = np.unique(ranks[uncovered[ranks]])
             if best_colors is None or len(hit) > len(best_hit):
                 best_colors, best_hit = candidate, hit
-        before = len(uncovered)
-        uncovered -= best_hit
+        uncovered[best_hit] = False
         blocks.append(best_colors)
         trace.rounds.append(RoundRecord(
             round=round_index,
             family_before=before,
-            family_after=len(uncovered),
-            coverage_fraction=(before - len(uncovered)) / before,
+            family_after=before - len(best_hit),
+            coverage_fraction=len(best_hit) / before,
             samples=params.samples_per_round))
 
     trace.rounds_used = len(blocks)
     trace.final_length = len(blocks) * length
-    if uncovered:
-        residual = [ColorSet(subset_unrank(r, n, k), r) for r in sorted(uncovered)]
+    if uncovered.any():
+        residual = [ColorSet.from_rank(r, n, k) for r in np.flatnonzero(uncovered).tolist()]
         raise RoundsExhaustedError(
             f"{len(residual)} of {total} subsets still uncovered after "
             f"{len(blocks)} rounds (limit {max_rounds})",

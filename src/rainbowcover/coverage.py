@@ -1,9 +1,9 @@
 """Colourings of [N] and exact coverage of colour subsets.
 
 A colour subset R is covered when some arithmetic progression carries exactly
-the colours of R, one each. Coverage is tracked in a bit-vector indexed by
-colex rank, so membership updates are O(1) and the whole family costs
-C(n,k)/8 bytes.
+the colours of R, one each. Coverage is tracked in a numpy bool array indexed
+by colex rank, one byte per subset, so a block of progressions is marked with
+one scatter and the uncovered ranks are one scan.
 """
 
 from __future__ import annotations
@@ -13,16 +13,21 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
+import numpy as np
+
 from .combinatorics import (
     ColorSet,
     Progression,
-    _rank_of_mask,
-    enumerate_progressions,
-    subset_unrank,
+    _check_nk,
+    colex_table,
+    progression_blocks,
+    rainbow_ranks,
 )
 from .errors import ColoringFormatError, FamilySizeError, ParameterError
 
-# Guard for the coverage bit-vector: C(n,k) above this would need > 512 MiB.
+# Guard for the coverage family, one byte per subset: C(n,k) above this would
+# need more than 4 GiB. It also keeps every colex rank below 2^32, so the
+# int64 ranks of rainbow_ranks never overflow.
 FAMILY_SIZE_LIMIT = 1 << 32
 
 _TOKEN = re.compile(r"\S+")
@@ -59,14 +64,14 @@ class Coloring:
 class CoverageReport:
     """Coverage status of every k-subset of [n].
 
-    Bit r of `covered` corresponds to the subset with colex rank r.
-    `witnesses`, when recorded, maps a covered rank to the first progression
-    (in enumeration order) realizing that subset.
+    `covered` is a bool array over colex ranks: entry r says whether the
+    subset with rank r is covered. `witnesses`, when recorded, maps a covered
+    rank to the first progression (in enumeration order) realizing that subset.
     """
 
     n: int
     k: int
-    covered: int
+    covered: np.ndarray
     covered_count: int
     witnesses: Optional[dict[int, Progression]] = None
 
@@ -75,10 +80,10 @@ class CoverageReport:
         return comb(self.n, self.k)
 
     def is_covered(self, rank: int) -> bool:
-        return (self.covered >> rank) & 1 == 1
+        return 0 <= rank < len(self.covered) and bool(self.covered[rank])
 
     def uncovered_ranks(self) -> list[int]:
-        return [r for r in range(self.total) if not (self.covered >> r) & 1]
+        return np.flatnonzero(~self.covered).tolist()
 
 
 @dataclass
@@ -93,21 +98,18 @@ def rainbow_colors(coloring: Coloring, prog: Progression) -> Optional[ColorSet]:
     if prog.last > coloring.N:
         raise ParameterError(
             f"progression ends at {prog.last}, outside the domain [{coloring.N}]")
-    colors = coloring.colors
-    mask = 0
-    for p in prog.positions():
-        b = 1 << (colors[p - 1] - 1)
-        if mask & b:
-            return None
-        mask |= b
-    return ColorSet(mask, _rank_of_mask(mask))
+    n, k = coloring.n, prog.length
+    _check_family_size(n, k)
+    positions = np.array([prog.positions()]) - 1
+    rank = int(rainbow_ranks(np.array(coloring.colors), positions, colex_table(n, k))[0])
+    return ColorSet.from_rank(rank, n, k) if rank >= 0 else None
 
 
 def _check_family_size(n: int, k: int) -> int:
     total = comb(n, k)
     if total > FAMILY_SIZE_LIMIT:
         raise FamilySizeError(
-            f"C({n},{k}) = {total} subsets exceed the bit-vector guard of 2^32")
+            f"C({n},{k}) = {total} subsets exceed the coverage-family guard of 2^32")
     return total
 
 
@@ -115,49 +117,30 @@ def covered_family(coloring: Coloring, k: int,
                    record_witnesses: bool = False) -> CoverageReport:
     """Scan every k-progression of the domain and mark each rainbow colour set.
 
-    This is the hot loop of the whole package (the verifier dominates the
-    runtime of construction), so the rainbow test is a scratch bitmask per
-    progression and ranking is done inline without allocation.
+    The progressions are ranked one block of progression_blocks at a time, and
+    the scan stops after the block that completes the family. Within a block,
+    the witness of a newly covered rank is its first progression there, hence
+    its first in enumeration order.
     """
     n = coloring.n
-    if k < 2:
-        raise ParameterError(f"subset size k must be >= 2, got {k}")
-    if k > n:
-        raise ParameterError(f"subset size k = {k} exceeds the palette size n = {n}")
+    _check_nk(n, k)
     total = _check_family_size(n, k)
-    colors = coloring.colors
-    N = len(colors)
-    covered = 0
+    colors = np.array(coloring.colors)
+    table = colex_table(n, k)
+    covered = np.zeros(total, dtype=bool)
     count = 0
     witnesses: Optional[dict[int, Progression]] = {} if record_witnesses else None
-    comb_ = comb
-    for diff in range(1, (N - 1) // (k - 1) + 1):
-        span = (k - 1) * diff
-        for start in range(1, N - span + 1):
-            mask = 0
-            for p in range(start - 1, start + span, diff):
-                b = 1 << (colors[p] - 1)
-                if mask & b:
-                    mask = 0
-                    break
-                mask |= b
-            if not mask:
-                continue
-            rank = 0
-            j = 1
-            m = mask
-            while m:
-                rank += comb_((m & -m).bit_length() - 1, j)
-                j += 1
-                m &= m - 1
-            bit = 1 << rank
-            if not covered & bit:
-                covered |= bit
-                count += 1
-                if witnesses is not None:
-                    witnesses[rank] = Progression(start, diff, k)
-                if count == total:
-                    return CoverageReport(n, k, covered, count, witnesses)
+    for diffs, starts, positions in progression_blocks(coloring.N, k):
+        ranks, first = np.unique(rainbow_ranks(colors, positions, table), return_index=True)
+        new = (ranks >= 0) & ~covered[ranks]
+        ranks, first = ranks[new], first[new]
+        covered[ranks] = True
+        count += len(ranks)
+        if witnesses is not None:
+            witnesses.update((r, Progression(s, d, k)) for r, s, d in
+                             zip(ranks.tolist(), starts[first].tolist(), diffs[first].tolist()))
+        if count == total:
+            break
     return CoverageReport(n, k, covered, count, witnesses)
 
 
@@ -171,7 +154,7 @@ def verify_cover(coloring: Coloring, n: int, k: int,
     if n != coloring.n:
         coloring = Coloring(coloring.colors, n)
     report = covered_family(coloring, k, record_witnesses)
-    uncovered = [ColorSet(subset_unrank(r, n, k), r) for r in report.uncovered_ranks()]
+    uncovered = [ColorSet.from_rank(r, n, k) for r in report.uncovered_ranks()]
     return VerifyResult(not uncovered, uncovered, report)
 
 
@@ -184,18 +167,13 @@ def witness(coloring: Coloring, R: ColorSet, k: Optional[int] = None) -> Optiona
         raise ParameterError("witness search needs a subset of at least 2 colours")
     if size > coloring.n or R.mask >> coloring.n:
         raise ParameterError("subset uses colours outside the palette")
-    colors = coloring.colors
-    target = R.mask
-    for prog in enumerate_progressions(coloring.N, size):
-        mask = 0
-        for p in prog.positions():
-            b = 1 << (colors[p - 1] - 1)
-            if mask & b:
-                mask = 0
-                break
-            mask |= b
-        if mask == target:
-            return prog
+    _check_family_size(coloring.n, size)
+    colors = np.array(coloring.colors)
+    table = colex_table(coloring.n, size)
+    for diffs, starts, positions in progression_blocks(coloring.N, size):
+        hits = np.flatnonzero(rainbow_ranks(colors, positions, table) == R.rank)
+        if hits.size:
+            return Progression(int(starts[hits[0]]), int(diffs[hits[0]]), size)
     return None
 
 

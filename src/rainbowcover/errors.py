@@ -17,7 +17,7 @@ class ColoringFormatError(ParameterError):
 
 
 class FamilySizeError(ParameterError):
-    """The subset family C(n,k) exceeds the in-memory bit-vector guard."""
+    """The subset family C(n,k) exceeds the in-memory coverage-family guard."""
 
 
 class BudgetExceededError(RuntimeError):

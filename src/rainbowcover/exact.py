@@ -17,11 +17,11 @@ pruned search is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .combinatorics import _rank_of_mask
+from .combinatorics import _check_interval, _check_nk, _rank_of_mask, progression_blocks
 from .coverage import Coloring, _check_family_size, verify_cover
 from .bounds import lower_bound_N
 from .errors import BudgetExceededError, ParameterError
@@ -55,24 +55,19 @@ class ExactResult:
     refuted_up_to: int
 
 
-def _progressions_by_last(N: int, k: int) -> list[list[tuple[int, ...]]]:
-    """0-based position tuples grouped by their last element."""
-    by_last: list[list[tuple[int, ...]]] = [[] for _ in range(N)]
-    for diff in range(1, (N - 1) // (k - 1) + 1):
-        for start in range(N - (k - 1) * diff):
-            pos = tuple(range(start, start + k * diff, diff))
-            by_last[pos[-1]].append(pos)
-    return by_last
-
-
-def _search(n: int, k: int, N: int, config: SearchConfig) -> tuple[Optional[tuple[int, ...]], int]:
+def _search(n: int, k: int, N: int, config: SearchConfig,
+            budget: int) -> tuple[Optional[tuple[int, ...]], int]:
     """Core DFS. Returns (colouring or None, nodes visited).
 
-    Raises BudgetExceededError when config.node_budget assignments have been
-    made without settling the instance.
+    Raises BudgetExceededError when `budget` assignments have been made
+    without settling the instance.
     """
     total = comb(n, k)
-    by_last = _progressions_by_last(N, k)
+    # 0-based position lists grouped by their last element
+    by_last: list[list[list[int]]] = [[] for _ in range(N)]
+    for _, _, positions in progression_blocks(N, k):
+        for pos in positions.tolist():
+            by_last[pos[-1]].append(pos)
     # progressions finalized at position >= i, for the counting prune
     remaining_after = [0] * (N + 1)
     for i in range(N - 1, -1, -1):
@@ -81,7 +76,6 @@ def _search(n: int, k: int, N: int, config: SearchConfig) -> tuple[Optional[tupl
     pruning = not config.oracle_mode
     symmetry = config.symmetry_breaking and not config.oracle_mode
     early_fill = not config.oracle_mode
-    budget = config.node_budget
 
     colors = [0] * N
     covered: set[int] = set()
@@ -106,6 +100,8 @@ def _search(n: int, k: int, N: int, config: SearchConfig) -> tuple[Optional[tupl
                     nodes_explored=nodes)
             colors[i] = c
             newly = []
+            # Scalar on purpose: a node finalizes only a few progressions, so
+            # a numpy call per node would cost more than this loop.
             for pos in finalized:
                 mask = 0
                 for p in pos:
@@ -140,10 +136,9 @@ def exists_cover(n: int, k: int, N: int,
     outcomes are never conflated.
     """
     _check_search_params(n, k)
-    if N < 1:
-        raise ParameterError(f"interval length N must be >= 1, got {N}")
+    _check_interval(N, k)
     config = config or SearchConfig()
-    found, _ = _search(n, k, N, config)
+    found, _ = _search(n, k, N, config, config.node_budget)
     return Coloring(found, n) if found is not None else None
 
 
@@ -165,7 +160,7 @@ def ac_exact(n: int, k: int, config: Optional[SearchConfig] = None) -> ExactResu
                 f"no cover found up to max_N = {config.max_N}",
                 nodes_explored=total_nodes, refuted_up_to=N - 1)
         try:
-            found, nodes = _search(n, k, N, replace(config, node_budget=budget_left))
+            found, nodes = _search(n, k, N, config, budget_left)
         except BudgetExceededError as exc:
             raise BudgetExceededError(
                 f"node budget {config.node_budget} exhausted while deciding N = {N}",
@@ -187,10 +182,7 @@ def ac_exact(n: int, k: int, config: Optional[SearchConfig] = None) -> ExactResu
 
 def _check_search_params(n: int, k: int) -> None:
     # k = 1 would make every singleton a progression only by convention; refuse.
-    if k < 2:
-        raise ParameterError(f"subset size k must be >= 2, got {k}")
-    if k > n:
-        raise ParameterError(f"subset size k = {k} exceeds the palette size n = {n}")
+    _check_nk(n, k)
     _check_family_size(n, k)
 
 

@@ -46,6 +46,18 @@ def covered_sets(colors: tuple[int, ...], k: int) -> set[frozenset[int]]:
     return out
 
 
+def first_witnesses(colors: tuple[int, ...], k: int) -> dict[frozenset[int], tuple[int, int]]:
+    """(start, diff) of the first all-distinct progression realizing each
+    covered colour k-set, first in the (diff, start) order of progressions."""
+    N = len(colors)
+    first: dict[frozenset[int], tuple[int, int]] = {}
+    for start, diff in progressions(N, k):
+        values = [colors[p - 1] for p in progression_terms(start, diff, k)]
+        if len(set(values)) == k:
+            first.setdefault(frozenset(values), (start, diff))
+    return first
+
+
 def all_subsets(n: int, k: int) -> list[frozenset[int]]:
     return [frozenset(c) for c in itertools.combinations(range(1, n + 1), k)]
 

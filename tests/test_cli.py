@@ -126,6 +126,14 @@ class TestConstruct:
         assert code == 2
         assert "alpha" in err
 
+    @pytest.mark.parametrize("force", [(), ("--force",)])
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_exit_two(self, capsys, alpha, force):
+        code, out, err = run_cli(capsys, "construct", "--n", "6", "--k", "3",
+                                 "--seed", "1", "--alpha", alpha, *force)
+        assert code == 2 and out == ""
+        assert "alpha must be a finite number" in err
+
     @pytest.mark.filterwarnings("ignore:alpha = 1.0")
     def test_alpha_forced(self, capsys):
         code, record, _ = run_json(capsys, "construct", "--n", "3", "--k", "3",
@@ -195,6 +203,15 @@ class TestBounds:
         assert code == 2
 
 
+    @pytest.mark.parametrize("force", [(), ("--force",)])
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_exit_two(self, capsys, alpha, force):
+        code, out, err = run_cli(capsys, "bounds", "--n", "6", "--k", "3",
+                                 "--alpha", alpha, *force)
+        assert code == 2 and out == ""
+        assert "alpha must be a finite number" in err
+
+
 class TestEstimate:
     def test_estimate_schema_and_determinism(self, capsys):
         args = ("estimate", "--n", "6", "--k", "2", "--N", "6",
@@ -236,6 +253,17 @@ class TestExact:
         assert code == 3
         record = json.loads(out)
         assert record["error"] == "budget-exceeded"
+
+
+    def test_budget_used_up_exactly_exit_three(self, capsys):
+        # deciding N = 5 takes exactly 16 nodes, so none are left for N = 6
+        code, out, err = run_cli(capsys, "exact", "--n", "4", "--k", "3",
+                                 "--budget", "16")
+        assert code == 3
+        record = json.loads(out)
+        assert record["error"] == "budget-exceeded"
+        assert record["refuted_up_to"] == 5
+        assert "must be >= 1" not in err
 
 
 class TestCommonFlags:

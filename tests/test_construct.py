@@ -1,3 +1,4 @@
+import hashlib
 import statistics
 import warnings
 from collections import Counter
@@ -159,6 +160,21 @@ class TestConstructCover:
         b = construct_cover(8, 4, ConstructParams(seed=5))
         assert a.coloring == b.coloring
         assert a.trace.rounds == b.trace.rounds
+
+    # sha256 of the space-joined colouring, pinned before the scoring moved
+    # to the shared rainbow-rank kernel
+    @pytest.mark.parametrize("n,k,seed,rng_name,length,digest", [
+        (10, 3, 0, "philox", 104,
+         "14e561349f1add8b046d66ffc94928dc8c4f85b0ef4141111c9fd0e6d0ce294c"),
+        (12, 3, 1, "pcg64", 170,
+         "dea05ff3720a850e4bba9db96684e575a215915dd8170cb89213b900b138c445"),
+        (8, 4, 2, "philox", 96,
+         "311b7e9469e4746fc1dba2dcccc0aa9e2b70a433f9c2fc74180659eeea68bdc3"),
+    ])
+    def test_seed_replay(self, n, k, seed, rng_name, length, digest):
+        colors = construct_cover(n, k, ConstructParams(seed=seed, rng_name=rng_name)).coloring.colors
+        assert len(colors) == length
+        assert hashlib.sha256(" ".join(map(str, colors)).encode()).hexdigest() == digest
 
     def test_rounds_exhausted_carries_residual(self):
         params = ConstructParams(seed=1, samples_per_round=1, max_rounds=1)

@@ -100,7 +100,7 @@ class TestCoveredFamily:
             full = covered_family(Coloring(colors, n), k).covered
             for cut in range(k, len(colors)):
                 prefix = covered_family(Coloring(colors[:cut], n), k).covered
-                assert prefix & ~full == 0
+                assert not (prefix & ~full).any()
 
     def test_witnesses_are_valid(self):
         rng = random.Random(7)
