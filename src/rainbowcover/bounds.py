@@ -45,6 +45,9 @@ PAIR_MODES = ("exact-pairs", "bounded-pairs")
 # identical draw sequence regardless of the trial count.
 _CHUNK = 4096
 
+# Gathered int16 entries per sub-batch of a chunk, so memory stays bounded in h.
+_GATHER_ENTRIES = 1 << 20
+
 
 def _lower_bound(n: int, k: int, N: int, mode: str,
                  pair_limit: int) -> tuple[int, tuple[int, ...], Fraction]:
@@ -105,16 +108,16 @@ def estimate_cover_probability(n: int, k: int, N: int, trials: int, seed: int,
     rng = make_rng(seed, rng_name)
     progs = np.concatenate([positions for _, _, positions in progression_blocks(N, k)])
     # a sorted int16 row equal to 1..k is the rainbow test here: ranking every
-    # row of the (chunk, h, k) gather would take four times its memory
+    # row of the (rows, h, k) gather would take four times its memory
     target = np.arange(1, k + 1, dtype=np.int16)
+    rows = max(1, _GATHER_ENTRIES // progs.size)
     hits = 0
-    remaining = trials
-    while remaining:
-        size = min(_CHUNK, remaining)
+    for done in range(0, trials, _CHUNK):
+        size = min(_CHUNK, trials - done)
         draws = rng.integers(1, n + 1, size=(size, N), dtype=np.int16)
-        gathered = np.sort(draws[:, progs], axis=2)
-        hits += int((gathered == target).all(axis=2).any(axis=1).sum())
-        remaining -= size
+        for lo in range(0, size, rows):
+            gathered = np.sort(draws[lo:lo + rows, progs], axis=2)
+            hits += int((gathered == target).all(axis=2).any(axis=1).sum())
     p_hat = hits / trials
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return EstimateResult(p_hat, std_err, trials, seed, rng_name)

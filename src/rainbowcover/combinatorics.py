@@ -251,6 +251,18 @@ def rainbow_ranks(colors: np.ndarray, positions: np.ndarray,
     return ranks
 
 
+def colex_unrank(ranks: np.ndarray, comb_table: np.ndarray) -> np.ndarray:
+    """Inverse of rainbow_ranks: the (m, k) ascending colours of each rank, given
+    comb_table = colex_table(n, k); colour j is a binary search in row j-1."""
+    rest = np.array(ranks, dtype=np.int64)
+    out = np.empty((len(rest), len(comb_table)), dtype=np.int64)
+    for j in range(len(comb_table), 0, -1):
+        off = np.searchsorted(comb_table[j - 1], rest, side="right") - 1
+        out[:, j - 1] = off + j
+        rest -= comb_table[j - 1, off]
+    return out
+
+
 def _check_subset_params(n: int, k: int) -> None:
     if n < 1 or k < 1 or k > n:
         raise ParameterError(f"need 1 <= k <= n, got n={n} k={k}")

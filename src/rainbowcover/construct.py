@@ -22,13 +22,12 @@ from typing import Optional
 import numpy as np
 
 from .combinatorics import (
-    ColorSet,
     _check_nk,
     colex_table,
     progression_blocks,
     rainbow_ranks,
 )
-from .coverage import Coloring, _check_family_size
+from .coverage import Coloring, _check_family_size, _color_sets
 from .errors import ParameterError, RoundsExhaustedError
 
 _BIT_GENERATORS = {"philox": np.random.Philox, "pcg64": np.random.PCG64}
@@ -239,7 +238,7 @@ def construct_cover(n: int, k: int, params: ConstructParams) -> ConstructResult:
     trace.rounds_used = len(blocks)
     trace.final_length = len(blocks) * length
     if uncovered.any():
-        residual = [ColorSet.from_rank(r, n, k) for r in np.flatnonzero(uncovered).tolist()]
+        residual = _color_sets(np.flatnonzero(uncovered), n, k)
         raise RoundsExhaustedError(
             f"{len(residual)} of {total} subsets still uncovered after "
             f"{len(blocks)} rounds (limit {max_rounds})",

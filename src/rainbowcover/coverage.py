@@ -16,10 +16,12 @@ from typing import Optional
 import numpy as np
 
 from .combinatorics import (
+    BLOCK_ROWS,
     ColorSet,
     Progression,
     _check_nk,
     colex_table,
+    colex_unrank,
     progression_blocks,
     rainbow_ranks,
 )
@@ -144,17 +146,32 @@ def covered_family(coloring: Coloring, k: int,
     return CoverageReport(n, k, covered, count, witnesses)
 
 
+def _color_sets(ranks: np.ndarray, n: int, k: int) -> list[ColorSet]:
+    """ColorSet per colex rank, BLOCK_ROWS at a time; Python-int masks as n may exceed 63."""
+    table = colex_table(n, k)
+    bits = [0] + [1 << c for c in range(n)]
+    out = []
+    for lo in range(0, len(ranks), BLOCK_ROWS):
+        block = ranks[lo:lo + BLOCK_ROWS]
+        masks = [0] * len(block)
+        for column in colex_unrank(block, table).T.tolist():
+            masks = [m | bits[c] for m, c in zip(masks, column)]
+        out.extend(map(ColorSet, masks, block.tolist()))
+    return out
+
+
 def verify_cover(coloring: Coloring, n: int, k: int,
                  record_witnesses: bool = False) -> VerifyResult:
     """Decide whether the colouring covers every k-subset of [n].
 
-    `uncovered` lists the missing subsets in colex order, so a complete cover
-    is exactly an empty list.
+    `uncovered` lists the missing subsets in colex order, built by one batch
+    unrank per block of BLOCK_ROWS ranks, so a complete cover is exactly an
+    empty list.
     """
     if n != coloring.n:
         coloring = Coloring(coloring.colors, n)
     report = covered_family(coloring, k, record_witnesses)
-    uncovered = [ColorSet.from_rank(r, n, k) for r in report.uncovered_ranks()]
+    uncovered = _color_sets(np.flatnonzero(~report.covered), n, k)
     return VerifyResult(not uncovered, uncovered, report)
 
 
@@ -230,10 +247,9 @@ def coverage_report_dict(coloring: Coloring, result: VerifyResult) -> dict:
         "uncovered": [list(cs.colors) for cs in result.uncovered],
     }
     if report.witnesses is not None:
-        rendered = {}
-        for rank in sorted(report.witnesses):
-            prog = report.witnesses[rank]
-            key = ",".join(map(str, ColorSet.from_rank(rank, report.n, report.k).colors))
-            rendered[key] = {"start": prog.start, "diff": prog.diff, "length": prog.length}
-        out["witnesses"] = rendered
+        ranks = sorted(report.witnesses)
+        keys = colex_unrank(np.array(ranks, dtype=np.int64), colex_table(report.n, report.k))
+        out["witnesses"] = {
+            ",".join(map(str, colors)): {"start": p.start, "diff": p.diff, "length": p.length}
+            for colors, p in zip(keys.tolist(), map(report.witnesses.get, ranks))}
     return out

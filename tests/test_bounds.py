@@ -86,6 +86,15 @@ class TestEstimate:
         result = estimate_cover_probability(6, 2, 6, trials=10, seed=3, rng_name="pcg64")
         assert (result.trials, result.seed, result.rng_name) == (10, 3, "pcg64")
 
+    @pytest.mark.parametrize("args, p_hat", [
+        ((8, 3, 40, 5000, 5), 0.9156),
+        ((6, 4, 30, 6000, 11, "pcg64"), 0.8106666666666666),
+    ])
+    def test_split_chunks_replay_draws(self, args, p_hat):
+        # values computed before chunks were split into sub-batches; both
+        # cases split each 4096-row chunk
+        assert estimate_cover_probability(*args).p_hat == p_hat
+
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
             estimate_cover_probability(6, 2, 6, trials=0, seed=1)

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from rainbowcover import (
+    ColorSet,
     ConstructParams,
     ParameterError,
     RoundsExhaustedError,
@@ -184,6 +185,15 @@ class TestConstructCover:
         assert exc.rounds_used == 1
         assert exc.residual and all(cs.k == 3 for cs in exc.residual)
         assert exc.trace is not None and exc.trace.rounds_used == 1
+
+    def test_residual_is_the_uncovered_family_in_colex_order(self):
+        params = ConstructParams(seed=2, samples_per_round=1, max_rounds=1)
+        with pytest.raises(RoundsExhaustedError) as info:
+            construct_cover(20, 3, params)
+        residual = info.value.residual
+        assert len(residual) == info.value.trace.rounds[-1].family_after
+        assert [cs.rank for cs in residual] == sorted({cs.rank for cs in residual})
+        assert residual == [ColorSet.from_rank(cs.rank, 20, 3) for cs in residual]
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):

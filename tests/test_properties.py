@@ -1,15 +1,25 @@
 """Property tests: the shared progression table and rainbow-rank kernel, and
 the coverage scans built on them, against the brute-force oracles."""
 
+import hashlib
+import json
 import random
+from math import comb
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from rainbowcover import ColorSet, Coloring, covered_family, witness
-from rainbowcover.combinatorics import colex_table, progression_blocks, rainbow_ranks
+from rainbowcover import ColorSet, Coloring, covered_family, subset_unrank, verify_cover, witness
+from rainbowcover.combinatorics import (
+    BLOCK_ROWS,
+    colex_table,
+    colex_unrank,
+    progression_blocks,
+    rainbow_ranks,
+)
+from rainbowcover.coverage import FAMILY_SIZE_LIMIT, _color_sets, coverage_report_dict
 
 
 @st.composite
@@ -91,3 +101,47 @@ def test_witnesses_first_across_blocks():
     report = covered_family(Coloring(colors, 40), 3, record_witnesses=True)
     assert report.covered_count < report.total
     assert witness_pairs(report) == oracles.first_witnesses(colors, 3)
+
+
+@st.composite
+def colex_ranks(draw):
+    """(n, k, ranks) with C(n,k) inside the coverage-family guard; the ranks
+    always include 0 and C(n,k)-1."""
+    n = draw(st.integers(1, 120))
+    k = draw(st.sampled_from([k for k in range(1, n + 1) if comb(n, k) <= FAMILY_SIZE_LIMIT]))
+    total = comb(n, k)
+    ranks = draw(st.lists(st.integers(0, total - 1), max_size=30))
+    return n, k, sorted({0, total - 1, *ranks})
+
+
+@settings(deadline=None)
+@given(colex_ranks())
+@example((100, 98, [0, 1, comb(100, 98) // 2, comb(100, 98) - 1]))
+@example((2, 2, [0]))
+@example((120, 3, [0, 1000, comb(120, 3) - 1]))
+def test_colex_unrank_matches_subset_unrank(case):
+    # C(99, 49) at (100, 98) overflows int64, so only colex_table can serve
+    n, k, ranks = case
+    table = colex_table(n, k)
+    colors = colex_unrank(np.array(ranks, dtype=np.int64), table)
+    assert colors.shape == (len(ranks), k)
+    for rank, row in zip(ranks, colors.tolist()):
+        assert sum(1 << (c - 1) for c in row) == subset_unrank(rank, n, k)
+    assert rainbow_ranks(np.arange(1, n + 1), colors - 1, table).tolist() == ranks
+    expected = [ColorSet.from_rank(r, n, k) for r in ranks]
+    assert _color_sets(np.array(ranks, dtype=np.int64), n, k) == expected
+
+
+def test_uncovered_list_across_blocks():
+    # 54461 uncovered subsets span four unrank blocks and need masks over 63 bits
+    coloring = Coloring(tuple((7 * i * i + 3 * i) % 70 + 1 for i in range(60)), 70)
+    result = verify_cover(coloring, 70, 3, record_witnesses=True)
+    ranks = result.report.uncovered_ranks()
+    assert len(ranks) == 54461 and len(ranks) > 3 * BLOCK_ROWS
+    assert result.uncovered == [ColorSet.from_rank(r, 70, 3) for r in ranks]
+    assert len(result.report.witnesses) == 279
+    # digest of the report computed before the uncovered list was batch-unranked
+    text = json.dumps(coverage_report_dict(coloring, result), sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "54ef7ad1647e30dbe222d1b2cd74e1bfea6720c843b6902997d53ec7f1f4d652")
