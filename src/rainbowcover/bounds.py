@@ -102,10 +102,10 @@ def estimate_cover_probability(n: int, k: int, N: int, trials: int, seed: int,
     _check_interval(N, k)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    rng = make_rng(seed, rng_name)
     if N < k:
         # no k-progression fits, so nothing can be covered
         return EstimateResult(0.0, 0.0, trials, seed, rng_name)
-    rng = make_rng(seed, rng_name)
     progs = np.concatenate([positions for _, _, positions in progression_blocks(N, k)])
     # a sorted int16 row equal to 1..k is the rainbow test here: ranking every
     # row of the (rows, h, k) gather would take four times its memory

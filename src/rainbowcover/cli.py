@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import secrets
 import sys
 from typing import Optional
@@ -45,25 +44,17 @@ EXIT_INCOMPLETE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
-THREADS_ENV = "RAINBOW_THREADS"
 
-
-def _default_threads() -> int:
-    value = os.environ.get(THREADS_ENV, "1")
-    try:
-        threads = int(value)
-    except ValueError:
-        raise ParameterError(f"{THREADS_ENV}={value!r} is not an integer") from None
-    if threads < 1:
-        raise ParameterError(f"{THREADS_ENV} must be >= 1, got {threads}")
-    return threads
+def _pair_budget(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"pair-scan budget must be >= 0, got {value}")
+    return value
 
 
 def _ensure_seed(args) -> int:
     """Return the given seed or generate one; the caller must report it."""
     if args.seed is not None:
-        if args.seed < 0:
-            raise ParameterError(f"seed must be nonnegative, got {args.seed}")
         return args.seed
     seed = secrets.randbits(62)
     print(f"generated seed: {seed}", file=sys.stderr)
@@ -95,7 +86,6 @@ def cmd_verify(args) -> int:
             "n": args.n,
             "k": args.k,
             "witnesses": args.witnesses,
-            "threads": args.threads,
         },
     }
     record.update(coverage_report_dict(coloring, result))
@@ -130,7 +120,6 @@ def cmd_construct(args) -> int:
         "max_rounds": params.max_rounds,
         "log_base": params.log_base,
         "force": params.force_alpha,
-        "threads": args.threads,
     }
     try:
         result = construct_cover(args.n, args.k, params)
@@ -190,7 +179,6 @@ def cmd_count(args) -> int:
             "k": args.k,
             "pairs": args.pairs,
             "budget": args.budget,
-            "threads": args.threads,
         },
         "N": args.N,
         "k": args.k,
@@ -220,7 +208,6 @@ def cmd_bounds(args) -> int:
         "budget": args.budget,
         "log_base": args.log_base,
         "force": args.force,
-        "threads": args.threads,
     }
     record = {"command": "bounds", "params": params}
     record.update(bounds_report_dict(report))
@@ -264,7 +251,6 @@ def cmd_estimate(args) -> int:
             "trials": args.trials,
             "seed": seed,
             "rng": args.rng,
-            "threads": args.threads,
         },
         "n": args.n,
         "k": args.k,
@@ -327,7 +313,6 @@ def _exact_params(args) -> dict:
         "budget": args.budget,
         "symmetry_breaking": not args.no_symmetry,
         "oracle": args.oracle,
-        "threads": args.threads,
     }
 
 
@@ -343,8 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--text", dest="format", action="store_const", const="text",
                      help="human-readable output")
     common.set_defaults(format="json")
-    common.add_argument("--threads", type=int, default=None,
-                        help=f"worker hint, default ${THREADS_ENV} or 1")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -380,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--pairs", action="store_true",
                    help="also tally pairs by shared elements")
-    p.add_argument("--budget", type=int, default=DEFAULT_PAIR_LIMIT,
+    p.add_argument("--budget", type=_pair_budget, default=DEFAULT_PAIR_LIMIT,
                    help="pair-scan budget")
     p.set_defaults(func=cmd_count)
 
@@ -396,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add a Monte Carlo estimate with this many trials")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--rng", choices=["philox", "pcg64"], default="philox")
-    p.add_argument("--budget", type=int, default=DEFAULT_PAIR_LIMIT,
+    p.add_argument("--budget", type=_pair_budget, default=DEFAULT_PAIR_LIMIT,
                    help="pair-scan budget")
     p.add_argument("--log-base", choices=["e", "2", "10"], default="e", dest="log_base")
     p.add_argument("--force", action="store_true",
@@ -435,10 +418,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads is None:
-            args.threads = _default_threads()
-        elif args.threads < 1:
-            raise ParameterError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -213,18 +213,6 @@ def hi_upper_bounds(N: int, k: int) -> tuple[int, ...]:
     return tuple(out[:k])
 
 
-def _rank_of_mask(mask: int) -> int:
-    """Colex rank of the subset encoded by mask; no validation (hot path)."""
-    rank = 0
-    j = 1
-    m = mask
-    while m:
-        rank += comb((m & -m).bit_length() - 1, j)
-        j += 1
-        m &= m - 1
-    return rank
-
-
 def colex_table(n: int, k: int) -> np.ndarray:
     """The comb table of rainbow_ranks: row j-1 holds C(c, j) for c = j-1, ...,
     n-k+j-1, the colex terms the j-th smallest colour of a k-subset of [n] can
@@ -279,7 +267,11 @@ def subset_rank(mask: int, n: int, k: int) -> int:
         raise ParameterError(f"mask {bin(mask)} is not a nonempty subset of [{n}]")
     if mask.bit_count() != k:
         raise ParameterError(f"mask has {mask.bit_count()} elements, expected k={k}")
-    return _rank_of_mask(mask)
+    rank = 0
+    for j in range(1, k + 1):
+        rank += comb((mask & -mask).bit_length() - 1, j)
+        mask &= mask - 1
+    return rank
 
 
 def subset_unrank(rank: int, n: int, k: int) -> int:

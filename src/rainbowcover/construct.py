@@ -60,6 +60,14 @@ def _check_alpha(alpha: float, log_base: str, force: bool) -> Optional[str]:
     return message
 
 
+def _check_rng(seed: int, rng_name: str) -> None:
+    if rng_name not in _BIT_GENERATORS:
+        raise ParameterError(
+            f"unknown rng {rng_name!r}; choose from {sorted(_BIT_GENERATORS)}")
+    if not isinstance(seed, int) or seed < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def make_rng(seed: int, rng_name: str = "philox") -> np.random.Generator:
     """Build the generator behind all randomized operations.
 
@@ -67,11 +75,7 @@ def make_rng(seed: int, rng_name: str = "philox") -> np.random.Generator:
     identical (seed, rng_name) pair replays the identical draw sequence on any
     platform.
     """
-    if rng_name not in _BIT_GENERATORS:
-        raise ParameterError(
-            f"unknown rng {rng_name!r}; choose from {sorted(_BIT_GENERATORS)}")
-    if not isinstance(seed, int) or seed < 0:
-        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
+    _check_rng(seed, rng_name)
     return np.random.Generator(_BIT_GENERATORS[rng_name](seed))
 
 
@@ -109,7 +113,10 @@ def rounds(n: int, k: int, alpha: float, log_base: str = "e",
     message = _check_alpha(alpha, log_base, force)
     if message:
         warnings.warn(message + "; proceeding anyway", stacklevel=2)
-    return math.ceil(alpha * k * _LOG[log_base](n))
+    product = alpha * k * _LOG[log_base](n)
+    if not math.isfinite(product):
+        raise ParameterError(f"alpha * k * log(n) overflows for alpha = {alpha}")
+    return math.ceil(product)
 
 
 def random_coloring(N: int, n: int, rng: np.random.Generator) -> Coloring:
@@ -140,16 +147,12 @@ class ConstructParams:
     force_alpha: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _check_rng(self.seed, self.rng_name)
         if self.samples_per_round < 1:
             raise ParameterError(
                 f"samples_per_round must be >= 1, got {self.samples_per_round}")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ParameterError(f"max_rounds must be >= 1, got {self.max_rounds}")
-        if self.rng_name not in _BIT_GENERATORS:
-            raise ParameterError(
-                f"unknown rng {self.rng_name!r}; choose from {sorted(_BIT_GENERATORS)}")
         _check_alpha(self.alpha, self.log_base, self.force_alpha)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .combinatorics import _check_interval, _check_nk, _rank_of_mask, progression_blocks
+from .combinatorics import _check_interval, _check_nk, progression_blocks
 from .coverage import Coloring, _check_family_size, verify_cover
 from .bounds import lower_bound_N
 from .errors import BudgetExceededError, ParameterError
@@ -78,9 +78,8 @@ def _search(n: int, k: int, N: int, config: SearchConfig,
     early_fill = not config.oracle_mode
 
     colors = [0] * N
-    covered: set[int] = set()
+    covered: set[int] = set()  # colour bitmasks of the covered subsets
     nodes = 0
-    rank_of = _rank_of_mask
 
     def rec(i: int, count: int, used_max: int) -> Optional[tuple[int, ...]]:
         nonlocal nodes
@@ -110,16 +109,14 @@ def _search(n: int, k: int, N: int, config: SearchConfig,
                         mask = 0
                         break
                     mask |= b
-                if mask:
-                    r = rank_of(mask)
-                    if r not in covered:
-                        covered.add(r)
-                        newly.append(r)
+                if mask and mask not in covered:
+                    covered.add(mask)
+                    newly.append(mask)
             found = rec(i + 1, count + len(newly), c if c > used_max else used_max)
             if found is not None:
                 return found
-            for r in newly:
-                covered.discard(r)
+            for mask in newly:
+                covered.discard(mask)
         colors[i] = 0
         return None
 

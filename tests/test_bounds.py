@@ -63,6 +63,12 @@ class TestEstimate:
         result = estimate_cover_probability(5, 3, 2, trials=100, seed=1)
         assert result.p_hat == 0.0 and result.std_err == 0.0
 
+    def test_no_progressions_still_checks_the_rng(self):
+        with pytest.raises(ParameterError, match="seed"):
+            estimate_cover_probability(5, 3, 2, trials=100, seed=-1)
+        with pytest.raises(ParameterError, match="rng"):
+            estimate_cover_probability(5, 3, 2, trials=100, seed=1, rng_name="mt")
+
     def test_single_progression_case(self):
         # one progression, P(rainbow with the fixed set) = 3!/3^3 = 2/9
         result = estimate_cover_probability(3, 3, 3, trials=100_000, seed=31)

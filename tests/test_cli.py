@@ -1,8 +1,13 @@
+import io
 import json
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowcover import cli
 
@@ -267,24 +272,113 @@ class TestExact:
 
 
 class TestCommonFlags:
-    def test_threads_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "4")
-        code, record, _ = run_json(capsys, "count", "--N", "5", "--k", "2")
-        assert code == 0 and record["params"]["threads"] == 4
+    def test_threads_rejected(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["count", "--N", "5", "--k", "2", "--threads", "2"])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
 
-    def test_threads_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "4")
-        code, record, _ = run_json(capsys, "count", "--N", "5", "--k", "2",
-                                   "--threads", "2")
-        assert code == 0 and record["params"]["threads"] == 2
+    @pytest.mark.parametrize("argv", [
+        ("construct", "--n", "3", "--k", "3"),
+        ("estimate", "--n", "3", "--k", "3"),
+        ("bounds", "--n", "3", "--k", "3", "--trials", "5"),
+        ("estimate", "--n", "2", "--k", "2", "--N", "1"),  # no progression fits
+    ])
+    def test_negative_seed_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == 2 and out == ""
+        assert "seed" in err
 
-    def test_bad_env_exit_two(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "zero")
-        code, _, err = run_cli(capsys, "count", "--N", "5", "--k", "2")
-        assert code == 2
+    @pytest.mark.parametrize("argv", [
+        ("construct", "--n", "3", "--k", "3", "--seed", "1"),
+        ("bounds", "--n", "5", "--k", "3"),
+    ])
+    def test_overflowing_alpha_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--alpha", "1e308")
+        assert code == 2 and out == ""
+        assert "overflows" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "--N", "1", "--k", "2"),
+        ("bounds", "--n", "3", "--k", "2", "--pairs", "bounded"),
+    ])
+    def test_negative_pair_budget_exit_two(self, capsys, argv):
+        # the budget is recorded even when no pair scan runs, and the
+        # schemas require it to be >= 0
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--budget", "-1"])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_text_mode(self, capsys, golden_file):
         code, out, _ = run_cli(capsys, "verify", "--input", golden_file,
                                "--n", "6", "--k", "3", "--text")
         assert code == 0
         assert "complete" in out and "{" not in out
+
+
+BUDGETS = [-1, 0, 1, 16, 10**6]
+ALPHAS = ["nan", "inf", "1e308", "0.5", "1.0", "2.0"]
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand with small, possibly invalid, arguments (ROADMAP 2d)."""
+    def maybe(flags, one_in=2):
+        return flags if draw(st.integers(1, one_in)) == one_in else []
+
+    command = draw(st.sampled_from(
+        ["verify", "construct", "count", "bounds", "estimate", "exact"]))
+    budget = draw(st.sampled_from(BUDGETS))
+    # exact with the 10^6-node budget takes seconds per instance above n = 5
+    n = draw(st.integers(2, 5 if command == "exact" and budget == 10**6 else 7))
+    k = draw(st.integers(2, min(5, n)))
+    if draw(st.integers(1, 6)) == 6:
+        n, k = draw(st.sampled_from([(1, k), (n, 1), (k - 1, k)]))
+    N = draw(st.integers(0, 40))
+    argv = [command, "--k", str(k)]
+    argv += ["--N", str(N)] if command == "count" else ["--n", str(n)]
+    if command == "verify":
+        argv += ["--input", "colouring.txt"] + maybe(["--witnesses"])
+    if command in ("construct", "bounds"):
+        argv += maybe(["--alpha", draw(st.sampled_from(ALPHAS))]) + maybe(["--force"])
+    if command in ("count", "bounds", "exact"):
+        argv += ["--budget", str(budget)]
+    if command == "count":
+        argv += maybe(["--pairs"])
+    if command == "bounds":
+        argv += maybe(["--pairs", "bounded"])
+    if command in ("bounds", "estimate"):
+        # estimate always gets --trials: its default of 10^4 is slow at N = 40
+        trials = ["--trials", str(draw(st.integers(0, 200)))]
+        argv += maybe(["--N", str(N)]) + (trials if command == "estimate" else maybe(trials))
+    if command in ("construct", "bounds", "estimate"):
+        argv += maybe(["--seed", str(draw(st.sampled_from([-1, 0, 7])))])
+    if command == "exact":
+        argv += maybe([draw(st.sampled_from(["--oracle", "--no-symmetry"]))])
+    argv += maybe(["--threads", "2"], one_in=8)
+    # the colouring file for verify, now and then with a colour outside 1..n
+    colors = draw(st.lists(st.integers(1, n), max_size=N))
+    colors += maybe([draw(st.sampled_from([0, n + 1]))], one_in=4)
+    return argv, colors
+
+
+@settings(deadline=None, max_examples=200)
+@given(cli_argvs())
+def test_fuzzed_argv_exit_codes(tmp_path_factory, case):
+    argv, colors = case
+    workdir = tmp_path_factory.getbasetemp()
+    (workdir / "colouring.txt").write_text(" ".join(map(str, colors)) + "\n")
+    argv = [str(workdir / a) if a == "colouring.txt" else a for a in argv]
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code == 2:
+        assert out.getvalue() == "", argv
+    if code == 0:
+        validate(json.loads(out.getvalue()), argv[0])

@@ -74,6 +74,14 @@ class TestRounds:
         with pytest.raises(ParameterError):
             rounds(10, 3, 2.0, log_base="7")
 
+    def test_overflowing_alpha(self):
+        # finite alpha whose product alpha * k * log(n) is not finite
+        for force in (False, True):
+            with pytest.raises(ParameterError, match="overflows"):
+                rounds(3, 3, 1e308, force=force)
+        with pytest.raises(ParameterError, match="overflows"):
+            construct_cover(3, 3, ConstructParams(seed=1, alpha=1e308))
+
 
 class TestRandomColoring:
     def test_single_colour(self):

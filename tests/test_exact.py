@@ -28,6 +28,14 @@ KNOWN_VALUES = {
     (4, 4): 4,
 }
 
+# nodes explored and witness of the default search, pinned so that a change
+# to the DFS bookkeeping cannot silently change the order of the search
+KNOWN_SEARCHES = {
+    (4, 3): (41, (1, 1, 2, 3, 4, 1)),
+    (5, 3): (1019, (1, 1, 2, 3, 4, 1, 5, 2, 3)),
+    (4, 4): (23, (1, 2, 3, 4)),
+}
+
 
 class TestExistsCover:
     def test_identity_at_three(self):
@@ -87,6 +95,8 @@ class TestAcExact:
         assert verify_cover(result.witness, n, k).complete
         assert result.refuted_up_to == expected - 1
         assert result.nodes_explored > 0
+        if nk in KNOWN_SEARCHES:
+            assert (result.nodes_explored, result.witness.colors) == KNOWN_SEARCHES[nk]
 
     def test_agrees_with_oracle_mode(self):
         for n, k in [(2, 2), (3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (5, 3), (4, 4)]:
