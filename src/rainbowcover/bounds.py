@@ -100,24 +100,29 @@ def estimate_cover_probability(n: int, k: int, N: int, trials: int, seed: int,
     """
     _check_nk(n, k)
     _check_interval(N, k)
+    if n > np.iinfo(np.int16).max:
+        raise ParameterError(f"colours are drawn as int16, so n must be <= 32767, got {n}")
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     rng = make_rng(seed, rng_name)
     if N < k:
         # no k-progression fits, so nothing can be covered
         return EstimateResult(0.0, 0.0, trials, seed, rng_name)
-    progs = np.concatenate([positions for _, _, positions in progression_blocks(N, k)])
     # a sorted int16 row equal to 1..k is the rainbow test here: ranking every
     # row of the (rows, h, k) gather would take four times its memory
     target = np.arange(1, k + 1, dtype=np.int16)
-    rows = max(1, _GATHER_ENTRIES // progs.size)
     hits = 0
     for done in range(0, trials, _CHUNK):
         size = min(_CHUNK, trials - done)
         draws = rng.integers(1, n + 1, size=(size, N), dtype=np.int16)
-        for lo in range(0, size, rows):
-            gathered = np.sort(draws[lo:lo + rows, progs], axis=2)
-            hits += int((gathered == target).all(axis=2).any(axis=1).sum())
+        # blocks are regenerated per chunk so that no (h, k) table is held
+        hit = np.zeros(size, dtype=bool)
+        for _, _, progs in progression_blocks(N, k):
+            rows = max(1, _GATHER_ENTRIES // progs.size)
+            for lo in range(0, size, rows):
+                gathered = np.sort(draws[lo:lo + rows, progs], axis=2)
+                hit[lo:lo + rows] |= (gathered == target).all(axis=2).any(axis=1)
+        hits += int(hit.sum())
     p_hat = hits / trials
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return EstimateResult(p_hat, std_err, trials, seed, rng_name)

@@ -2,7 +2,7 @@
 
 Positions are coloured left to right. A progression is finalized exactly once,
 at the step that colours its last element, so coverage is maintained
-incrementally with an undo list per assignment. Two optional accelerations:
+incrementally with an undo list per assignment. Two accelerations:
 
 * counting prune: with p positions coloured, only the progressions whose last
   element is still uncoloured can cover anything new; if they are fewer than
@@ -33,7 +33,6 @@ DEFAULT_NODE_BUDGET = 10**9
 class SearchConfig:
     max_N: Optional[int] = None
     node_budget: int = DEFAULT_NODE_BUDGET
-    symmetry_breaking: bool = True
     oracle_mode: bool = False
 
     def __post_init__(self):
@@ -74,7 +73,6 @@ def _search(n: int, k: int, N: int, config: SearchConfig,
         remaining_after[i] = remaining_after[i + 1] + len(by_last[i])
 
     pruning = not config.oracle_mode
-    symmetry = config.symmetry_breaking and not config.oracle_mode
     early_fill = not config.oracle_mode
 
     colors = [0] * N
@@ -89,7 +87,7 @@ def _search(n: int, k: int, N: int, config: SearchConfig,
             return tuple(colors) if count == total else None
         if pruning and count + remaining_after[i] < total:
             return None
-        top = min(used_max + 1, n) if symmetry else n
+        top = min(used_max + 1, n) if pruning else n
         finalized = by_last[i]
         for c in range(1, top + 1):
             nodes += 1

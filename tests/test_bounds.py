@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import comb, factorial
+import tracemalloc
 
 import pytest
 
@@ -100,6 +101,24 @@ class TestEstimate:
         # values computed before chunks were split into sub-batches; both
         # cases split each 4096-row chunk
         assert estimate_cover_probability(*args).p_hat == p_hat
+
+    def test_streamed_blocks_replay_draws(self):
+        # value computed with all blocks in one table; h = 22,350 spans two blocks
+        assert estimate_cover_probability(60, 3, 300, 600, 4).p_hat == 0.37
+
+    def test_memory_flat_in_interval_length(self):
+        tracemalloc.start()
+        try:
+            estimate_cover_probability(3, 3, 3000, trials=1, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_palette_must_fit_int16(self):
+        with pytest.raises(ParameterError, match="32767"):
+            estimate_cover_probability(32768, 2, 5, trials=1, seed=1)
+        assert estimate_cover_probability(32767, 2, 5, trials=1, seed=1).trials == 1
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):

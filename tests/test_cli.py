@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import warnings
@@ -316,9 +317,136 @@ class TestCommonFlags:
         assert code == 0
         assert "complete" in out and "{" not in out
 
+    @pytest.mark.parametrize("argv", [
+        ("construct", "--n", "3", "--k", "3", "--seed", "1", "--output", "missing/cover.txt"),
+        ("construct", "--n", "3", "--k", "3", "--seed", "1", "--trace", "missing/trace.jsonl"),
+        ("exact", "--n", "3", "--k", "2", "--output", "missing/witness.txt"),
+    ])
+    def test_unwritable_output_exit_two(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "missing" in err
+
+    def test_undecodable_input_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "undecodable.txt"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(capsys, "verify", "--input", str(path),
+                                 "--n", "6", "--k", "3")
+        assert code == 2 and out == ""
+        assert "decode" in err
+
+    @pytest.mark.parametrize("command", ["estimate", "bounds"])
+    def test_palette_beyond_int16_exit_two(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--n", "40000", "--k", "2", "--N", "5",
+                                 "--trials", "1", "--seed", "1")
+        assert code == 2 and out == ""
+        assert "32767" in err
+
+
+# argv -> (exit code, sha256 of stdout with --json, with --text, sha256 of
+# each file written), pinned from the CLI before it was rewritten around one
+# print path; exact's JSON has since dropped its "symmetry_breaking" param.
+GOLDEN = {
+    "verify --input golden.txt --n 6 --k 3":
+        (0, "fbd57d66869554a2956d69acf7537d829115dee9329895276009eaf027525ed2",
+         "3300a0997f878437734f8f3b3ada8cbf86471b318cf747ad7370512ebfc6a6b4", {}),
+    "verify --input golden.txt --n 6 --k 3 --witnesses":
+        (0, "d3573b318a21daeddf3b118d35dee517f6f19b24287383921e51b7ebc6e3ba4f",
+         "3300a0997f878437734f8f3b3ada8cbf86471b318cf747ad7370512ebfc6a6b4", {}),
+    "verify --input partial.txt --n 4 --k 3":
+        (1, "c6dec3007453c536545341fe617b165d9dd2f7653d0cbcf515373651e8cc6e64",
+         "8149fde37714b5fdac37244181d2a16aa6328f5342dba78d094ed6e150c628d0", {}),
+    "construct --n 8 --k 3 --seed 42 --output cover.txt --trace trace.jsonl":
+        (0, "787d1adcfd3cf4435bea4b87f5de1565543629c14a198cc89f271ccdf52dee1e",
+         "2d75f809b2b4a284d0133f45e09a431e16486892e7de57672f4fbdea0ff50a87",
+         {"cover.txt": "62205edd7ab8b11d907c50753deb37d07ea73dcf566feb7ee5cf2cc815ca8933",
+          "trace.jsonl": "4d706d57263c9d180789edb6570439269e1073cf930930c7fe54f3b44a477f11"}),
+    "construct --n 6 --k 3 --seed 9":
+        (0, "926047ed305a217626b7b4f15842cb8899345f9be86e76bd455cc3d8f1bef816",
+         "a868398db67db87aa10e6d81a02fdc075a4b3dc5db6e97673eb29da0b09f495a", {}),
+    "construct --n 5 --k 4 --seed 3 --rng pcg64 --log-base 2 --alpha 3.0 --samples 4":
+        (0, "abf8533e1ddaac3598e08fd9577c23fe02f641fb1899a6f8bf86dc6a26dc388f",
+         "91ce523a303b37a08de3c527467bcdecfc62fc13b6021f31b6ded5298b14a6e7", {}),
+    "construct --n 3 --k 3 --seed 1 --alpha 1.0 --force":
+        (0, "a1f13ad1e51e7639435264c062451816f18e00e41917c2f5b2f5e4b193ae2f9f",
+         "69e48448f5ea319ee90e9821841e07e79cd7720de77a5ea36f679874ea34b2fe", {}),
+    "construct --n 8 --k 3 --seed 1 --samples 1 --max-rounds 1":
+        (3, "d53baf07e9ba97d7b7a018cdce51ebbd2811d7cf4282fcbe628ea32693b3c537",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {}),
+    "count --N 12 --k 3 --pairs":
+        (0, "5de727195c600673ede916cde894915bf5e9576e75d213e2eb919a44165a0722",
+         "a93928e569a4de25c443f1f8f2e82cf6457a52f8e8b76e3497141b9bbec78ae3", {}),
+    "count --N 20 --k 4 --budget 0":
+        (0, "fc297f72a57c16964eb28a0dd15369b2b70d8f968bf89abc86c48ee497ebaa25",
+         "caaf641433061e73f0eb2eaccf2bb39b85b590ef8e16bc0100eb249a2295003c", {}),
+    "count --N 100 --k 3 --pairs --budget 10":
+        (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {}),
+    "verify --input partial.txt --n 3 --k 3":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {}),
+    "bounds --n 10 --k 3 --trials 2000 --seed 5":
+        (0, "cba3883f92b61d2f3d21d9dba0b70c0612d73be819a99fc1a904b5439516154a",
+         "bf0b12a959855e535aaf24e5210fd043d70146d5d384456a9b3d3889b88be191", {}),
+    "bounds --n 20 --k 2":
+        (0, "b7599f0e1eb845de6bbc506e8c5ea4623a0a8736d38876a8fb2803cd4bcfdfab",
+         "98a84cf5eefe93a6d2df4c961e57191fe1035604e7c0d61a95bc2e161fca1cfe", {}),
+    "bounds --n 8 --k 3 --pairs bounded --log-base 10 --alpha 4.0":
+        (0, "a2f0664c712e3428d94939d46164759926af4174291a972436f3ee980c7214cb",
+         "3206876ca2956b7f8292a0d1a7ae47e39df76ac9fb533b7e673a2ed8380aa06c", {}),
+    "bounds --n 6 --k 3 --N 15 --trials 100 --seed 2 --rng pcg64 --force":
+        (0, "51cf384e2f75e4682c0ca6da38b308d753aac66686b7cb64cde48bd94ea572ce",
+         "3140f83b7654077f423229e0dd69bc93c1228216545a821cdc8ebe1347044edf", {}),
+    "estimate --n 6 --k 2 --N 6 --trials 5000 --seed 3":
+        (0, "27f828dba2f9046760425f789132a2a270794dee14652c8c20cfa88219243b97",
+         "1887aa2e18c5bbccc783be52c837753d1941ac3f267ea9f714b34e30029cd1f0", {}),
+    "estimate --n 5 --k 3 --trials 300 --seed 1 --rng pcg64":
+        (0, "0c40ff35b97fdeef9ccb3c933c553bad4291bb1b16ee3984a168e92bf5d585c6",
+         "b5c8b07306bf290f0bba6f38a4d7e02f7213178bd90c6b1566fc016168ed7952", {}),
+    "estimate --n 2 --k 2 --N 1 --trials 10 --seed 0":
+        (0, "5482eca4aee82d485b25e9ef3d494f9ee3e95424ca5d18457a79a8ccbe914596",
+         "0133f400245d2eab066e757862a5b0d7a37cfe50b7b652322104307d8a8e72ca", {}),
+    "exact --n 4 --k 3 --output witness.txt":
+        (0, "5d8b9724548e1944a99531dc9c8e75d8b159495c75643d894d0132e5d61863b4",
+         "2c1d3ab7ae13a568b2d4a169326c745e12fc905209d5cf200b504c8375542629",
+         {"witness.txt": "4c4ecd6a7c03f01bac007ca7643070bf9b7df35c6626391488d534e031ffd1bf"}),
+    "exact --n 4 --k 3 --oracle --max-N 8":
+        (0, "6d19f8c767d0e93b7b155c014dc93d1bb8cb18b2d06420e2a61356b5db33ff31",
+         "2d120efff81551cbe1d0ab6a8efa046afabd4b7ce337742af70bc2fa56e29d80", {}),
+    "exact --n 5 --k 3 --budget 100":
+        (3, "2e554242ed92e87321daa0640cb2c2d9f254aafdf8f46296b7979aa1618b892c",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {}),
+    "exact --n 4 --k 3 --max-N 5":
+        (3, "50fa99d3f692c06fe3abb9795524a52118ddfa150d87b347e8aa08ac0fc59c68",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {}),
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.filterwarnings("ignore:alpha = 1.0")
+@pytest.mark.parametrize("fmt", ["--json", "--text"])
+@pytest.mark.parametrize("argv", list(GOLDEN))
+def test_golden_output(capsys, tmp_path, monkeypatch, argv, fmt):
+    monkeypatch.chdir(tmp_path)
+    inputs = {"golden.txt": GOLDEN_TEXT, "partial.txt": "1 2 3 4\n"}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    code, out, _ = run_cli(capsys, *argv.split(), fmt)
+    expected_code, json_sha, text_sha, files = GOLDEN[argv]
+    assert code == expected_code
+    assert sha256(out) == (json_sha if fmt == "--json" else text_sha)
+    written = {path.name: sha256(path.read_text())
+               for path in tmp_path.iterdir() if path.name not in inputs}
+    assert written == files
+
 
 BUDGETS = [-1, 0, 1, 16, 10**6]
 ALPHAS = ["nan", "inf", "1e308", "0.5", "1.0", "2.0"]
+OUTPUT_FILES = ["out.txt", "missing/out.txt"]
 
 
 @st.composite
@@ -339,7 +467,8 @@ def cli_argvs(draw):
     argv = [command, "--k", str(k)]
     argv += ["--N", str(N)] if command == "count" else ["--n", str(n)]
     if command == "verify":
-        argv += ["--input", "colouring.txt"] + maybe(["--witnesses"])
+        input_file = "undecodable.txt" if draw(st.integers(1, 4)) == 4 else "colouring.txt"
+        argv += ["--input", input_file] + maybe(["--witnesses"])
     if command in ("construct", "bounds"):
         argv += maybe(["--alpha", draw(st.sampled_from(ALPHAS))]) + maybe(["--force"])
     if command in ("count", "bounds", "exact"):
@@ -355,8 +484,14 @@ def cli_argvs(draw):
     if command in ("construct", "bounds", "estimate"):
         argv += maybe(["--seed", str(draw(st.sampled_from([-1, 0, 7])))])
     if command == "exact":
-        argv += maybe([draw(st.sampled_from(["--oracle", "--no-symmetry"]))])
-    argv += maybe(["--threads", "2"], one_in=8)
+        argv += maybe(["--oracle"])
+    # output files, now and then into a directory that does not exist
+    outputs = st.sampled_from(OUTPUT_FILES)
+    if command in ("construct", "exact"):
+        argv += maybe(["--output", draw(outputs)])
+    if command == "construct":
+        argv += maybe(["--trace", draw(outputs)])
+    argv += maybe(["--text"], one_in=3) + maybe(["--threads", "2"], one_in=8)
     # the colouring file for verify, now and then with a colour outside 1..n
     colors = draw(st.lists(st.integers(1, n), max_size=N))
     colors += maybe([draw(st.sampled_from([0, n + 1]))], one_in=4)
@@ -369,7 +504,9 @@ def test_fuzzed_argv_exit_codes(tmp_path_factory, case):
     argv, colors = case
     workdir = tmp_path_factory.getbasetemp()
     (workdir / "colouring.txt").write_text(" ".join(map(str, colors)) + "\n")
-    argv = [str(workdir / a) if a == "colouring.txt" else a for a in argv]
+    (workdir / "undecodable.txt").write_bytes(b"\xff\xfe")
+    files = {"colouring.txt", "undecodable.txt", *OUTPUT_FILES}
+    argv = [str(workdir / a) if a in files else a for a in argv]
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()), warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -380,5 +517,5 @@ def test_fuzzed_argv_exit_codes(tmp_path_factory, case):
     assert code in (0, 1, 2, 3), (argv, code)
     if code == 2:
         assert out.getvalue() == "", argv
-    if code == 0:
+    if code == 0 and "--text" not in argv:
         validate(json.loads(out.getvalue()), argv[0])

@@ -105,10 +105,6 @@ class TestAcExact:
             assert pruned.value == reference.value == KNOWN_VALUES[(n, k)], (n, k)
             assert verify_cover(reference.witness, n, k).complete
 
-    def test_no_symmetry_agrees(self):
-        result = ac_exact(4, 3, SearchConfig(symmetry_breaking=False))
-        assert result.value == 6
-
     def test_deterministic(self):
         a = ac_exact(5, 3)
         b = ac_exact(5, 3)
