@@ -4,7 +4,6 @@ a verifier, a randomized certified builder, probability bounds, and an exact
 minimal-length solver."""
 
 from .combinatorics import (
-    DEFAULT_PAIR_LIMIT,
     ColorSet,
     PairIntersectionCounts,
     Progression,

@@ -28,7 +28,6 @@ from typing import Optional
 import numpy as np
 
 from .combinatorics import (
-    DEFAULT_PAIR_LIMIT,
     _check_interval,
     _check_nk,
     count_intersecting_pairs,
@@ -49,14 +48,14 @@ _CHUNK = 4096
 _GATHER_ENTRIES = 1 << 20
 
 
-def _lower_bound(n: int, k: int, N: int, mode: str,
-                 pair_limit: int) -> tuple[int, tuple[int, ...], Fraction]:
+def _lower_bound(n: int, k: int, N: int, mode: str) -> tuple[int, tuple[int, ...], Fraction]:
     """(h, h_i, L) for [N]: h_i exact or entrywise upper bounds, per mode."""
+    _check_nk(n, k)
     if mode not in PAIR_MODES:
         raise ParameterError(f"pairs mode must be one of {PAIR_MODES}, got {mode!r}")
     h = count_progressions(N, k)
     if mode == "exact-pairs":
-        h_i = count_intersecting_pairs(N, k, pair_limit).counts
+        h_i = count_intersecting_pairs(N, k).counts
     else:
         h_i = hi_upper_bounds(N, k)
     L = Fraction(h * factorial(k), n**k)
@@ -65,19 +64,17 @@ def _lower_bound(n: int, k: int, N: int, mode: str,
     return h, tuple(h_i), L
 
 
-def bonferroni_lower_bound(n: int, k: int, N: int, mode: str = "exact-pairs",
-                           pair_limit: int = DEFAULT_PAIR_LIMIT) -> Fraction:
+def bonferroni_lower_bound(n: int, k: int, N: int, mode: str = "exact-pairs") -> Fraction:
     """Exact rational lower bound on P(some progression in [N] is R-coloured).
 
-    mode "exact-pairs" uses the true pair tallies (quadratic scan, budgeted);
+    mode "exact-pairs" uses the true pair tallies (from subset moments, see
+    count_intersecting_pairs; an oversize request raises BudgetExceededError);
     mode "bounded-pairs" substitutes their entrywise upper bounds, which only
     subtracts more, so the result is a smaller but still valid lower bound.
     The value may be negative for badly sized N; that is meaningful (the bound
     is just vacuous there).
     """
-    _check_nk(n, k)
-    _check_interval(N, k)
-    return _lower_bound(n, k, N, mode, pair_limit)[2]
+    return _lower_bound(n, k, N, mode)[2]
 
 
 @dataclass(frozen=True)
@@ -183,13 +180,11 @@ class BoundsReport:
 
 def compute_bounds_report(n: int, k: int, N: Optional[int] = None,
                           alpha: float = 2.0, pairs_mode: str = "exact-pairs",
-                          pair_limit: int = DEFAULT_PAIR_LIMIT,
                           log_base: str = "e", force_alpha: bool = False) -> BoundsReport:
     """Assemble the full report; N defaults to the construction block length."""
-    _check_nk(n, k)
     if N is None:
         N = block_length(n, k)
-    h, h_i, L = _lower_bound(n, k, N, pairs_mode, pair_limit)
+    h, h_i, L = _lower_bound(n, k, N, pairs_mode)
     return BoundsReport(
         n=n, k=k, N=N, h=h, h_i=h_i, pairs_mode=pairs_mode, L=L,
         N_lower=lower_bound_N(n, k),

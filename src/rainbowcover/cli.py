@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import secrets
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from .bounds import (
@@ -24,13 +26,12 @@ from .bounds import (
     count_intersecting_pairs,
     estimate_cover_probability,
 )
-from .combinatorics import DEFAULT_PAIR_LIMIT, count_progressions
+from .combinatorics import count_progressions
 from .construct import (
     ConstructParams,
     block_length,
     coloring_header,
     construct_cover,
-    trace_record_dict,
 )
 from .coverage import (
     Coloring,
@@ -50,13 +51,6 @@ EXIT_BUDGET = 3
 Outcome = tuple[int, dict, list[str]]
 
 
-def _pair_budget(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"pair-scan budget must be >= 0, got {value}")
-    return value
-
-
 def _ensure_seed(args) -> None:
     """Generate a seed into args.seed when none was given, and report it."""
     if args.seed is None:
@@ -67,6 +61,23 @@ def _ensure_seed(args) -> None:
 def _record(args, *names: str) -> dict:
     """The {"command", "params"} head of a record, read from the parsed flags."""
     return {"command": args.command, "params": {name: getattr(args, name) for name in names}}
+
+
+def _write_files(texts: dict[str, str]) -> None:
+    """Write each text to its path, all or none: every path is opened for
+    appending, which truncates nothing, before any is written, and a failed
+    open removes the files that the opens before it created."""
+    new = [path for path in texts if not os.path.exists(path)]
+    try:
+        for path in texts:
+            open(path, "a", encoding="utf-8").close()
+    except OSError:
+        for path in filter(os.path.exists, new):
+            os.remove(path)
+        raise
+    for path, text in texts.items():
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
 
 
 def cmd_verify(args) -> Outcome:
@@ -109,18 +120,14 @@ def cmd_construct(args) -> Outcome:
         return EXIT_BUDGET, record, []
 
     trace = result.trace
-    certificate = verify_cover(result.coloring, args.n, args.k)
-    if not certificate.complete:
+    rounds = [asdict(rec) for rec in trace.rounds]
+    if not verify_cover(result.coloring, args.n, args.k).complete:
         raise AssertionError("internal error: constructed colouring failed verification")
 
     coloring_text = format_coloring(result.coloring, coloring_header(trace))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(coloring_text)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            for rec in trace.rounds:
-                handle.write(json.dumps(trace_record_dict(rec)) + "\n")
+    trace_text = "".join(json.dumps(rec) + "\n" for rec in rounds)
+    _write_files({path: text for path, text in [(args.output, coloring_text),
+                                                (args.trace, trace_text)] if path})
 
     record.update({
         "block_length": trace.block_length,
@@ -128,7 +135,7 @@ def cmd_construct(args) -> Outcome:
         "final_length": trace.final_length,
         "certified": True,
         "coloring": list(result.coloring.colors),
-        "trace": [trace_record_dict(rec) for rec in trace.rounds],
+        "trace": rounds,
     })
     if args.output:
         lines = [f"certified covering colouring of length {trace.final_length} "
@@ -140,11 +147,11 @@ def cmd_construct(args) -> Outcome:
 
 def cmd_count(args) -> Outcome:
     count = count_progressions(args.N, args.k)
-    record = _record(args, "N", "k", "pairs", "budget")
+    record = _record(args, "N", "k", "pairs")
     record.update({"N": args.N, "k": args.k, "count": count})
     lines = [f"progressions in [{args.N}] of length {args.k}: {count}"]
     if args.pairs:
-        tallies = count_intersecting_pairs(args.N, args.k, args.budget)
+        tallies = count_intersecting_pairs(args.N, args.k)
         record["pair_counts"] = list(tallies.counts)
         lines.append(f"pair counts by shared elements: {list(tallies.counts)}")
     return EXIT_OK, record, lines
@@ -154,7 +161,7 @@ def cmd_bounds(args) -> Outcome:
     pairs_mode = "exact-pairs" if args.pairs == "exact" else "bounded-pairs"
     report = compute_bounds_report(
         args.n, args.k, N=args.N, alpha=args.alpha, pairs_mode=pairs_mode,
-        pair_limit=args.budget, log_base=args.log_base, force_alpha=args.force)
+        log_base=args.log_base, force_alpha=args.force)
     lines = [
         f"n={report.n} k={report.k} N={report.N}",
         f"progressions h = {report.h}",
@@ -163,7 +170,7 @@ def cmd_bounds(args) -> Outcome:
         f"N_lower = {report.N_lower}",
         f"construction length = {report.construction_length} (alpha={report.alpha})",
     ]
-    names = ["n", "k", "N", "alpha", "pairs", "trials", "budget", "log_base", "force"]
+    names = ["n", "k", "N", "alpha", "pairs", "trials", "log_base", "force"]
     if args.trials is not None:
         _ensure_seed(args)
         estimate = estimate_cover_probability(
@@ -228,8 +235,7 @@ def cmd_exact(args) -> Outcome:
     record.update(exact_result_dict(result, method))
     if args.output:
         header = {"n": args.n, "k": args.k, "ac": result.value, "method": method}
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(format_coloring(result.witness, header))
+        _write_files({args.output: format_coloring(result.witness, header)})
     lines = [
         f"ac({args.n},{args.k}) = {result.value} [{method}, computed by this tool]",
         f"witness: {' '.join(map(str, result.witness.colors))}",
@@ -269,9 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     interval = flags()
     interval.add_argument("--N", type=int, default=None,
                           help="interval length, default block_length(n,k)")
-    pair_budget = flags()
-    pair_budget.add_argument("--budget", type=_pair_budget, default=DEFAULT_PAIR_LIMIT,
-                             help="pair-scan budget")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -294,15 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write the colouring text here")
     p.add_argument("--trace", help="write the JSON-lines round trace here")
 
-    p = add("count", cmd_count, "count progressions and pair intersections",
-            size, pair_budget)
+    p = add("count", cmd_count, "count progressions and pair intersections", size)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--pairs", action="store_true",
                    help="also tally pairs by shared elements")
 
     p = add("bounds", cmd_bounds,
             "exact bounds report, optionally with a Monte Carlo estimate",
-            palette, size, interval, scaling, seeded, pair_budget)
+            palette, size, interval, scaling, seeded)
     p.add_argument("--pairs", choices=["exact", "bounded"], default="exact")
     p.add_argument("--trials", type=int, default=None,
                    help="add a Monte Carlo estimate with this many trials")

@@ -17,9 +17,10 @@ import numpy as np
 
 from .errors import BudgetExceededError, ParameterError
 
-# A full pair scan touches h^2 progression pairs; refuse to start one that a
-# caller did not knowingly budget for.
-DEFAULT_PAIR_LIMIT = 10**8
+# Cap on the entries, h*C(k,j)*j, of the largest position-subset gather of
+# count_intersecting_pairs. Each entry is 1-2 bytes, plus an 8-byte sort index
+# per row of j; 2^25 admits the n=300, k=3 construction block (27M entries).
+PAIR_ENTRY_LIMIT = 1 << 25
 
 # Rows per block of progression_blocks: bounds every gather made from a block,
 # whatever N is. Larger blocks raised peak memory and made no scan faster.
@@ -173,25 +174,39 @@ def count_progressions(N: int, k: int) -> int:
     return D * N - (k - 1) * (D * (D + 1) // 2)
 
 
-def count_intersecting_pairs(N: int, k: int,
-                             pair_limit: int = DEFAULT_PAIR_LIMIT) -> PairIntersectionCounts:
+def count_intersecting_pairs(N: int, k: int) -> PairIntersectionCounts:
     """Tally unordered pairs of distinct k-progressions in [N] by the exact
-    number of elements they share.
+    number of elements they share, from subset moments.
 
-    The scan is quadratic in the progression count h and refuses to start when
-    h*h exceeds pair_limit. Each progression is materialized as a bitmask over
-    positions, so a pair costs one AND plus a popcount.
+    Let m_T count the progressions containing a j-set T of positions, and
+    S_j = sum_T C(m_T, 2), read off the runs of the lexsorted j-subsets of all
+    progressions. A pair sharing i elements shares C(i, j) j-sets, so
+    S_j = sum_i C(i, j) h_i, inverted as h_i = sum_j (-1)^(j-i) C(j, i) S_j.
+    A gather over PAIR_ENTRY_LIMIT entries raises BudgetExceededError up front.
     """
     _check_interval(N, k)
     h = count_progressions(N, k)
-    if h * h > pair_limit:
+    if h < 2:
+        return PairIntersectionCounts((0,) * k, h)
+    # h*C(k,j)*j = h*k*C(k-1,j-1) is largest at j-1 = (k-1)//2
+    entries = h * k * comb(k - 1, (k - 1) // 2)
+    if entries > PAIR_ENTRY_LIMIT:
         raise BudgetExceededError(
-            f"pair scan needs h^2 = {h * h} pair checks (h = {h}), over the limit {pair_limit}")
-    masks = [sum(1 << p for p in row)
-             for _, _, positions in progression_blocks(N, k) for row in positions.tolist()]
-    counts = [0] * k
-    for a, b in combinations(masks, 2):
-        counts[(a & b).bit_count()] += 1
+            f"pair tallies need {entries} gathered entries (h = {h}), "
+            f"over the limit {PAIR_ENTRY_LIMIT}")
+    moments, dtype = [comb(h, 2)], np.min_scalar_type(N)
+    for j in range(1, k):
+        cols = np.array(list(combinations(range(k), j)))
+        # a C-ordered (j, rows) array of the j-subsets' positions in the least dtype
+        keys = np.concatenate([positions[:, cols].reshape(-1, j).T.astype(dtype, order="C")
+                               for _, _, positions in progression_blocks(N, k)], axis=1)
+        rows = keys[:, np.lexsort(keys)]
+        starts = np.r_[True, (rows[:, 1:] != rows[:, :-1]).any(axis=0), True]
+        runs = np.diff(np.flatnonzero(starts))
+        # runs are at most h long, so the int64 sum stays below h times the row count
+        moments.append(int((runs * (runs - 1)).sum()) // 2)
+    counts = [sum((-1) ** (j - i) * comb(j, i) * moments[j] for j in range(i, k))
+              for i in range(k)]
     return PairIntersectionCounts(tuple(counts), h)
 
 
@@ -207,10 +222,7 @@ def hi_upper_bounds(N: int, k: int) -> tuple[int, ...]:
     """
     _check_interval(N, k)
     h = count_progressions(N, k)
-    out = [comb(h, 2), h * k * k * N]
-    if k > 2:
-        out.extend([comb(N, 2) * comb(comb(k, 2), 2)] * (k - 2))
-    return tuple(out[:k])
+    return (comb(h, 2), h * k * k * N) + (comb(N, 2) * comb(comb(k, 2), 2),) * (k - 2)
 
 
 def colex_table(n: int, k: int) -> np.ndarray:

@@ -250,16 +250,6 @@ def construct_cover(n: int, k: int, params: ConstructParams) -> ConstructResult:
     return ConstructResult(coloring, trace)
 
 
-def trace_record_dict(record: RoundRecord) -> dict:
-    return {
-        "round": record.round,
-        "family_before": record.family_before,
-        "family_after": record.family_after,
-        "coverage_fraction": record.coverage_fraction,
-        "samples": record.samples,
-    }
-
-
 def coloring_header(trace: ConstructTrace) -> dict:
     """Header comment fields for a constructed colouring file."""
     return {

@@ -11,8 +11,8 @@ incrementally with an undo list per assignment. Two accelerations:
   occurrence of colour c is forced before the first occurrence of colour c+1.
 
 Oracle mode disables both (and the early fill-in on success) and checks only
-full-length colourings, single-threaded, as an auditable reference that the
-pruned search is tested against.
+full-length colourings, as an auditable reference that the pruned search is
+tested against.
 """
 
 from __future__ import annotations

@@ -56,7 +56,7 @@ class TestBonferroni:
         with pytest.raises(ParameterError):
             bonferroni_lower_bound(6, 2, 6, mode="sloppy")
         with pytest.raises(BudgetExceededError):
-            bonferroni_lower_bound(10, 3, 200, pair_limit=10)
+            bonferroni_lower_bound(10, 3, 10**6)
 
 
 class TestEstimate:

@@ -1,9 +1,11 @@
 import hashlib
 import io
 import json
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from math import comb
 
 import jsonschema
 import pytest
@@ -175,9 +177,12 @@ class TestCount:
         assert code == 2
 
     def test_pair_budget_exit_three(self, capsys):
-        code, _, err = run_cli(capsys, "count", "--N", "100", "--k", "3",
-                               "--pairs", "--budget", "10")
-        assert code == 3
+        # h = 2.5e11 progressions: the fixed pair-tally guard refuses at once
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "count", "--N", "1000000", "--k", "3", "--pairs")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert "gathered entries" in err
 
 
 class TestBounds:
@@ -207,6 +212,14 @@ class TestBounds:
     def test_k_above_n_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--n", "5", "--k", "6")
         assert code == 2
+
+    @pytest.mark.parametrize("n, k", [(60, 3), (40, 4)])
+    def test_exact_pairs_at_block_length(self, capsys, n, k):
+        # h^2 passed the old pair-scan budget of 10^8 here, so both exited 3
+        code, record, _ = run_json(capsys, "bounds", "--n", str(n), "--k", str(k))
+        assert code == 0
+        validate(record, "bounds")
+        assert sum(record["h_i"]) == comb(record["h"], 2)
 
 
     @pytest.mark.parametrize("force", [(), ("--force",)])
@@ -300,14 +313,13 @@ class TestCommonFlags:
         assert "overflows" in err
 
     @pytest.mark.parametrize("argv", [
-        ("count", "--N", "1", "--k", "2"),
-        ("bounds", "--n", "3", "--k", "2", "--pairs", "bounded"),
+        ("count", "--N", "12", "--k", "3", "--pairs"),
+        ("bounds", "--n", "3", "--k", "2"),
     ])
-    def test_negative_pair_budget_exit_two(self, capsys, argv):
-        # the budget is recorded even when no pair scan runs, and the
-        # schemas require it to be >= 0
+    def test_pair_budget_rejected(self, capsys, argv):
+        # the pair tallies have a fixed size guard, not a --budget flag
         with pytest.raises(SystemExit) as info:
-            cli.main([*argv, "--budget", "-1"])
+            cli.main([*argv, "--budget", "10"])
         assert info.value.code == 2
         assert capsys.readouterr().out == ""
 
@@ -328,6 +340,22 @@ class TestCommonFlags:
         assert code == 2 and out == ""
         assert "missing" in err
 
+    @pytest.mark.parametrize("existing", [None, "old colouring\n"])
+    def test_failed_output_writes_nothing(self, capsys, tmp_path, monkeypatch, existing):
+        # the trace cannot be opened, so the colouring file is neither left
+        # behind nor overwritten
+        monkeypatch.chdir(tmp_path)
+        if existing is not None:
+            (tmp_path / "cover.txt").write_text(existing)
+        code, out, err = run_cli(capsys, "construct", "--n", "4", "--k", "3", "--seed", "1",
+                                 "--output", "cover.txt", "--trace", "missing/t.jsonl")
+        assert code == 2 and out == ""
+        assert "missing" in err
+        if existing is None:
+            assert not (tmp_path / "cover.txt").exists()
+        else:
+            assert (tmp_path / "cover.txt").read_text() == existing
+
     def test_undecodable_input_exit_two(self, capsys, tmp_path):
         path = tmp_path / "undecodable.txt"
         path.write_bytes(b"\xff\xfe")
@@ -346,7 +374,8 @@ class TestCommonFlags:
 
 # argv -> (exit code, sha256 of stdout with --json, with --text, sha256 of
 # each file written), pinned from the CLI before it was rewritten around one
-# print path; exact's JSON has since dropped its "symmetry_breaking" param.
+# print path; exact's JSON has since dropped its "symmetry_breaking" param, and
+# count's and bounds' JSON their pair-scan "budget" param.
 GOLDEN = {
     "verify --input golden.txt --n 6 --k 3":
         (0, "fbd57d66869554a2956d69acf7537d829115dee9329895276009eaf027525ed2",
@@ -375,28 +404,28 @@ GOLDEN = {
         (3, "d53baf07e9ba97d7b7a018cdce51ebbd2811d7cf4282fcbe628ea32693b3c537",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {}),
     "count --N 12 --k 3 --pairs":
-        (0, "5de727195c600673ede916cde894915bf5e9576e75d213e2eb919a44165a0722",
+        (0, "ccd617f0a830af6b0f1f40d61636795b75442a08f7cea892fd262c47629ad56d",
          "a93928e569a4de25c443f1f8f2e82cf6457a52f8e8b76e3497141b9bbec78ae3", {}),
-    "count --N 20 --k 4 --budget 0":
-        (0, "fc297f72a57c16964eb28a0dd15369b2b70d8f968bf89abc86c48ee497ebaa25",
+    "count --N 20 --k 4":
+        (0, "21a81ecdb6d39a6ddc673a692b2d84e64cb4c9355ff750be872a623ac9caae7e",
          "caaf641433061e73f0eb2eaccf2bb39b85b590ef8e16bc0100eb249a2295003c", {}),
-    "count --N 100 --k 3 --pairs --budget 10":
+    "count --N 1000000 --k 3 --pairs":
         (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {}),
     "verify --input partial.txt --n 3 --k 3":
         (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {}),
     "bounds --n 10 --k 3 --trials 2000 --seed 5":
-        (0, "cba3883f92b61d2f3d21d9dba0b70c0612d73be819a99fc1a904b5439516154a",
+        (0, "e3eb89841d8d5b88cf66c399902bd6c986fb6940805d943d3db847eb6d1faba2",
          "bf0b12a959855e535aaf24e5210fd043d70146d5d384456a9b3d3889b88be191", {}),
     "bounds --n 20 --k 2":
-        (0, "b7599f0e1eb845de6bbc506e8c5ea4623a0a8736d38876a8fb2803cd4bcfdfab",
+        (0, "9f1ed48fb750a1ca3a4bf8cb1936d07fd9779f8ed3b049422fc61b175f0e67c7",
          "98a84cf5eefe93a6d2df4c961e57191fe1035604e7c0d61a95bc2e161fca1cfe", {}),
     "bounds --n 8 --k 3 --pairs bounded --log-base 10 --alpha 4.0":
-        (0, "a2f0664c712e3428d94939d46164759926af4174291a972436f3ee980c7214cb",
+        (0, "e168119ac0d2d58aebfc216d4d97761f9f065ab252cac0d07dd562883ef3a0a1",
          "3206876ca2956b7f8292a0d1a7ae47e39df76ac9fb533b7e673a2ed8380aa06c", {}),
     "bounds --n 6 --k 3 --N 15 --trials 100 --seed 2 --rng pcg64 --force":
-        (0, "51cf384e2f75e4682c0ca6da38b308d753aac66686b7cb64cde48bd94ea572ce",
+        (0, "4fa4a419e8e167a5b9e3ff95213e7fd0775d38a3f7018326987905c555dc8649",
          "3140f83b7654077f423229e0dd69bc93c1228216545a821cdc8ebe1347044edf", {}),
     "estimate --n 6 --k 2 --N 6 --trials 5000 --seed 3":
         (0, "27f828dba2f9046760425f789132a2a270794dee14652c8c20cfa88219243b97",
@@ -471,7 +500,7 @@ def cli_argvs(draw):
         argv += ["--input", input_file] + maybe(["--witnesses"])
     if command in ("construct", "bounds"):
         argv += maybe(["--alpha", draw(st.sampled_from(ALPHAS))]) + maybe(["--force"])
-    if command in ("count", "bounds", "exact"):
+    if command == "exact":
         argv += ["--budget", str(budget)]
     if command == "count":
         argv += maybe(["--pairs"])
@@ -492,6 +521,9 @@ def cli_argvs(draw):
     if command == "construct":
         argv += maybe(["--trace", draw(outputs)])
     argv += maybe(["--text"], one_in=3) + maybe(["--threads", "2"], one_in=8)
+    if command in ("count", "bounds"):
+        # a pair-scan budget flag left over from before the fixed guard
+        argv += maybe(["--budget", "10"], one_in=8)
     # the colouring file for verify, now and then with a colour outside 1..n
     colors = draw(st.lists(st.integers(1, n), max_size=N))
     colors += maybe([draw(st.sampled_from([0, n + 1]))], one_in=4)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import comb
 
 import pytest
@@ -16,6 +17,7 @@ from rainbowcover import (
     subset_rank,
     subset_unrank,
 )
+from rainbowcover import combinatorics
 
 
 class TestProgression:
@@ -108,8 +110,26 @@ class TestPairCounts:
             assert list(count_intersecting_pairs(N, k).counts) == oracles.pair_counts(N, k)
 
     def test_budget_guard(self):
+        # h = 2.5e11 progressions: refused before anything h-sized is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                count_intersecting_pairs(10**6, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_guard_counts_largest_gather(self, monkeypatch):
+        # the guard's unit is the largest gather, max_j h*C(k,j)*j; for (12, 3)
+        # that is 30 * 3 * 2 = 180 entries
+        for k in range(2, 13):
+            assert max(comb(k, j) * j for j in range(1, k)) == k * comb(k - 1, (k - 1) // 2)
+        monkeypatch.setattr(combinatorics, "PAIR_ENTRY_LIMIT", 180)
+        assert count_intersecting_pairs(12, 3).counts == (167, 226, 42)
+        monkeypatch.setattr(combinatorics, "PAIR_ENTRY_LIMIT", 179)
         with pytest.raises(BudgetExceededError):
-            count_intersecting_pairs(40, 3, pair_limit=10)
+            count_intersecting_pairs(12, 3)
 
 
 class TestHiUpperBounds:

@@ -1,5 +1,6 @@
-"""Property tests: the shared progression table and rainbow-rank kernel, and
-the coverage scans built on them, against the brute-force oracles."""
+"""Property tests: the shared progression table and rainbow-rank kernel, the
+coverage scans built on them, and the pair tallies, against the brute-force
+oracles."""
 
 import hashlib
 import json
@@ -11,7 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from rainbowcover import ColorSet, Coloring, covered_family, subset_unrank, verify_cover, witness
+from rainbowcover import (
+    ColorSet,
+    Coloring,
+    count_intersecting_pairs,
+    covered_family,
+    subset_unrank,
+    verify_cover,
+    witness,
+)
 from rainbowcover.combinatorics import (
     BLOCK_ROWS,
     colex_table,
@@ -54,6 +63,19 @@ def test_progression_blocks_match_oracle(N, k):
     positions = [pos for _, _, pos in blocks]
     assert np.array_equal(np.concatenate(positions) if positions else
                           np.empty((0, k), dtype=np.int64), oracle_positions(N, k))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 40), st.integers(2, 7))
+@example(3, 5)  # N < k: no progression, no pairs
+@example(7, 7)  # N = k: one progression, no pairs
+@example(12, 3)
+@example(25, 7)
+@example(40, 4)
+def test_pair_counts_match_oracle(N, k):
+    tallies = count_intersecting_pairs(N, k)
+    assert tallies.total == len(oracles.progressions(N, k))
+    assert list(tallies.counts) == oracles.pair_counts(N, k)
 
 
 @settings(deadline=None)
