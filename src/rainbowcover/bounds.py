@@ -30,10 +30,12 @@ import numpy as np
 from .combinatorics import (
     _check_interval,
     _check_nk,
+    colex_table,
     count_intersecting_pairs,
     count_progressions,
     hi_upper_bounds,
     progression_blocks,
+    rainbow_ranks,
 )
 from .construct import block_length, make_rng, rounds
 from .errors import ParameterError
@@ -105,20 +107,20 @@ def estimate_cover_probability(n: int, k: int, N: int, trials: int, seed: int,
     if N < k:
         # no k-progression fits, so nothing can be covered
         return EstimateResult(0.0, 0.0, trials, seed, rng_name)
-    # a sorted int16 row equal to 1..k is the rainbow test here: ranking every
-    # row of the (rows, h, k) gather would take four times its memory
-    target = np.arange(1, k + 1, dtype=np.int16)
+    # R = {1..k} has colex rank 0. Colours above k fold into k+1 (k if n = k, as k+1 may
+    # not fit int16), so for any n the table has 0/1 entries and the ranks fit int16.
+    table, top = colex_table(k + 1, k).astype(np.int16), min(n, k + 1)
     hits = 0
     for done in range(0, trials, _CHUNK):
         size = min(_CHUNK, trials - done)
-        draws = rng.integers(1, n + 1, size=(size, N), dtype=np.int16)
+        draws = np.minimum(rng.integers(1, n + 1, size=(size, N), dtype=np.int16), top)
         # blocks are regenerated per chunk so that no (h, k) table is held
         hit = np.zeros(size, dtype=bool)
         for _, _, progs in progression_blocks(N, k):
             rows = max(1, _GATHER_ENTRIES // progs.size)
             for lo in range(0, size, rows):
-                gathered = np.sort(draws[lo:lo + rows, progs], axis=2)
-                hit[lo:lo + rows] |= (gathered == target).all(axis=2).any(axis=1)
+                ranks = rainbow_ranks(draws[lo:lo + rows], progs, table)
+                hit[lo:lo + rows] |= (ranks == 0).any(axis=1)
         hits += int(hit.sum())
     p_hat = hits / trials
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / trials)

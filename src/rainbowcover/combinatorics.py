@@ -235,19 +235,26 @@ def colex_table(n: int, k: int) -> np.ndarray:
 
 def rainbow_ranks(colors: np.ndarray, positions: np.ndarray,
                   comb_table: np.ndarray) -> np.ndarray:
-    """Colex rank of the colour set of each progression, -1 where it repeats
-    a colour.
+    """Colex rank of the colour set of each progression, -1 where it repeats a colour.
 
-    colors holds the colours (1..n) of the interval, positions the (m, k)
-    0-based terms of m progressions, comb_table is colex_table(n, k). A row is
-    rainbow when its sorted colours c_1 < ... < c_k strictly increase; its rank
-    is then sum_j C(c_j - 1, j).
+    colors holds the colours (1..n) of the interval on its last axis, after any
+    batch axes; positions the (m, k) 0-based terms of m progressions; comb_table
+    is colex_table(n, k); the result has shape colors.shape[:-1] + (m,). The k
+    gathered columns are sorted by an odd-even transposition network (Knuth,
+    TAOCP vol. 3, 5.3.4): k passes, each one np.minimum and one np.maximum over
+    alternate adjacent column pairs. Sorted colours c_1 < ... < c_k rank as
+    sum_j C(c_j - 1, j); a row with a repeated colour gets -1, and as it can
+    point outside the table, the table index is clipped.
     """
-    rows = np.sort(colors[positions], axis=1)
-    rainbow = (np.diff(rows, axis=1) > 0).all(axis=1)
     k = positions.shape[1]
-    ranks = np.full(len(rows), -1, dtype=np.int64)
-    ranks[rainbow] = comb_table[np.arange(k), rows[rainbow] - np.arange(1, k + 1)].sum(axis=1)
+    cols = np.take(colors, positions.T, axis=-1)
+    for p in range(k):
+        lo, hi = cols[..., p % 2:k - 1:2, :], cols[..., p % 2 + 1:k:2, :]
+        lo[...], hi[...] = np.minimum(lo, hi), np.maximum(lo, hi)
+    ranks = comb_table[0].take(cols[..., 0, :] - 1, mode="clip")
+    for j in range(1, k):
+        ranks += comb_table[j].take(cols[..., j, :] - j - 1, mode="clip")
+    ranks[(cols[..., 1:, :] <= cols[..., :-1, :]).any(axis=-2)] = -1
     return ranks
 
 

@@ -106,10 +106,7 @@ def rounds(n: int, k: int, alpha: float, log_base: str = "e",
     refused even then.
     """
     _check_log_base(log_base)
-    if n < 2:
-        raise ParameterError(f"palette size n must be >= 2, got {n}")
-    if k < 2:
-        raise ParameterError(f"subset size k must be >= 2, got {k}")
+    _check_nk(n, k)
     message = _check_alpha(alpha, log_base, force)
     if message:
         warnings.warn(message + "; proceeding anyway", stacklevel=2)
@@ -199,7 +196,6 @@ def construct_cover(n: int, k: int, params: ConstructParams) -> ConstructResult:
     a bonus that only the final verification sees. Raises RoundsExhaustedError
     (carrying the residual family) if the family is nonempty after max_rounds.
     """
-    _check_nk(n, k)
     total = _check_family_size(n, k)
     length = block_length(n, k)
     target_rounds = rounds(n, k, params.alpha, params.log_base, force=params.force_alpha)

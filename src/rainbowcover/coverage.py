@@ -101,6 +101,8 @@ def rainbow_colors(coloring: Coloring, prog: Progression) -> Optional[ColorSet]:
         raise ParameterError(
             f"progression ends at {prog.last}, outside the domain [{coloring.N}]")
     n, k = coloring.n, prog.length
+    if k > n:
+        return None  # k terms cannot carry k distinct colours out of n < k
     _check_family_size(n, k)
     positions = np.array([prog.positions()]) - 1
     rank = int(rainbow_ranks(np.array(coloring.colors), positions, colex_table(n, k))[0])
@@ -108,6 +110,8 @@ def rainbow_colors(coloring: Coloring, prog: Progression) -> Optional[ColorSet]:
 
 
 def _check_family_size(n: int, k: int) -> int:
+    """C(n, k) after checking 2 <= k <= n and the coverage-family guard."""
+    _check_nk(n, k)
     total = comb(n, k)
     if total > FAMILY_SIZE_LIMIT:
         raise FamilySizeError(
@@ -125,7 +129,6 @@ def covered_family(coloring: Coloring, k: int,
     its first in enumeration order.
     """
     n = coloring.n
-    _check_nk(n, k)
     total = _check_family_size(n, k)
     colors = np.array(coloring.colors)
     table = colex_table(n, k)
@@ -180,9 +183,7 @@ def witness(coloring: Coloring, R: ColorSet, k: Optional[int] = None) -> Optiona
     size = R.mask.bit_count()
     if k is not None and k != size:
         raise ParameterError(f"subset has {size} colours, expected k={k}")
-    if size < 2:
-        raise ParameterError("witness search needs a subset of at least 2 colours")
-    if size > coloring.n or R.mask >> coloring.n:
+    if R.mask >> coloring.n:
         raise ParameterError("subset uses colours outside the palette")
     _check_family_size(coloring.n, size)
     colors = np.array(coloring.colors)

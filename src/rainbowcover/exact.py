@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .combinatorics import _check_interval, _check_nk, progression_blocks
+from .combinatorics import _check_interval, progression_blocks
 from .coverage import Coloring, _check_family_size, verify_cover
 from .bounds import lower_bound_N
 from .errors import BudgetExceededError, ParameterError
@@ -130,7 +130,7 @@ def exists_cover(n: int, k: int, N: int,
     running out of budget raises BudgetExceededError instead, so the two
     outcomes are never conflated.
     """
-    _check_search_params(n, k)
+    _check_family_size(n, k)
     _check_interval(N, k)
     config = config or SearchConfig()
     found, _ = _search(n, k, N, config, config.node_budget)
@@ -144,7 +144,7 @@ def ac_exact(n: int, k: int, config: Optional[SearchConfig] = None) -> ExactResu
     through verify_cover. The node budget is shared across the whole scan, and
     a budget failure reports the largest N that was fully refuted.
     """
-    _check_search_params(n, k)
+    _check_family_size(n, k)
     config = config or SearchConfig()
     N = lower_bound_N(n, k)
     budget_left = config.node_budget
@@ -173,12 +173,6 @@ def ac_exact(n: int, k: int, config: Optional[SearchConfig] = None) -> ExactResu
             return ExactResult(n=n, k=k, value=N, witness=witness,
                                nodes_explored=total_nodes, refuted_up_to=N - 1)
         N += 1
-
-
-def _check_search_params(n: int, k: int) -> None:
-    # k = 1 would make every singleton a progression only by convention; refuse.
-    _check_nk(n, k)
-    _check_family_size(n, k)
 
 
 def exact_result_dict(result: ExactResult, method: str) -> dict:

@@ -241,6 +241,13 @@ class TestEstimate:
         code2, record2, _ = run_json(capsys, *args)
         assert record == record2
 
+    def test_large_palette(self, capsys):
+        # C(30000, 10) overflows int64: the estimator must not build colex_table(n, k)
+        code, record, err = run_json(capsys, "estimate", "--n", "30000", "--k", "10",
+                                     "--N", "30", "--trials", "5", "--seed", "1")
+        assert code == 0 and err == ""
+        validate(record, "estimate")
+
     def test_seed_generated_when_missing(self, capsys):
         code, record, err = run_json(capsys, "estimate", "--n", "6", "--k", "2",
                                      "--N", "6", "--trials", "100")

@@ -74,6 +74,13 @@ class TestRounds:
         with pytest.raises(ParameterError):
             rounds(10, 3, 2.0, log_base="7")
 
+    def test_same_nk_check_as_block_length(self):
+        # a subset larger than the palette is refused by both factors of the
+        # construction length, with the same message
+        for factor in (block_length, lambda n, k: rounds(n, k, 2.0)):
+            with pytest.raises(ParameterError, match="k = 5 exceeds the palette size n = 3"):
+                factor(3, 5)
+
     def test_overflowing_alpha(self):
         # finite alpha whose product alpha * k * log(n) is not finite
         for force in (False, True):

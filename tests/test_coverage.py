@@ -55,6 +55,8 @@ class TestRainbowColors:
         col = Coloring(GOLDEN, 6)
         # positions 1, 6, 11 carry colours 4, 4, 1
         assert rainbow_colors(col, Progression(1, 5, 3)) is None
+        # more terms than colours: the colex table of (n, k) has no columns
+        assert rainbow_colors(Coloring((1, 2, 1), 2), Progression(1, 1, 3)) is None
 
     def test_out_of_range_progression(self):
         col = Coloring(GOLDEN, 6)

@@ -17,6 +17,8 @@ from rainbowcover import (
     Coloring,
     count_intersecting_pairs,
     covered_family,
+    estimate_cover_probability,
+    make_rng,
     subset_unrank,
     verify_cover,
     witness,
@@ -90,6 +92,51 @@ def test_rainbow_ranks_match_oracle(case):
             assert rank == -1
         else:
             assert set(ColorSet.from_rank(rank, n, k).colors) == values
+
+
+@st.composite
+def colouring_batches(draw):
+    """(n, k, rows): one to four colourings of the same interval."""
+    n, k, first = draw(colourings())
+    row = st.lists(st.integers(1, n), min_size=len(first), max_size=len(first))
+    return n, k, [first, *draw(st.lists(row, max_size=3))]
+
+
+@settings(deadline=None)
+@given(colouring_batches(), st.sampled_from([np.int16, np.int64]))
+def test_rainbow_ranks_batch_matches_rows(case, dtype):
+    n, k, rows = case
+    batch = np.array(rows, dtype=dtype)
+    positions = oracle_positions(batch.shape[1], k)
+    table = colex_table(n, k)
+    ranks = rainbow_ranks(batch, positions, table)
+    assert ranks.shape == (len(rows), len(positions))
+    for row, expected in zip(batch, ranks):
+        assert np.array_equal(rainbow_ranks(row, positions, table), expected)
+
+
+@st.composite
+def estimates(draw):
+    """(n, k, N, trials, seed, rng_name) for the estimator, small enough for the oracle."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(k, 40))
+    return (n, k, draw(st.integers(1, 30)), draw(st.integers(1, 40)),
+            draw(st.integers(0, 2**32)), draw(st.sampled_from(["philox", "pcg64"])))
+
+
+@settings(deadline=None)
+@given(estimates())
+@example((3, 3, 5, 4100, 7, "philox"))  # two chunks
+@example((40, 2, 40, 200, 1, "pcg64"))  # n >> k: most colours fold into k+1
+@example((5, 5, 12, 300, 2, "philox"))  # n = k: nothing folds
+def test_estimate_hits_match_oracle(case):
+    # replay the estimator's draws, one rng.integers call per 4096-row chunk
+    n, k, N, trials, seed, rng_name = case
+    rng, R, hits = make_rng(seed, rng_name), frozenset(range(1, k + 1)), 0
+    for done in range(0, trials, 4096):
+        draws = rng.integers(1, n + 1, size=(min(4096, trials - done), N), dtype=np.int16)
+        hits += sum(R in oracles.covered_sets(tuple(row), k) for row in draws.tolist())
+    assert estimate_cover_probability(n, k, N, trials, seed, rng_name).p_hat == hits / trials
 
 
 @settings(deadline=None)
