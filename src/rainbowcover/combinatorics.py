@@ -26,6 +26,9 @@ PAIR_ENTRY_LIMIT = 1 << 25
 # whatever N is. Larger blocks raised peak memory and made no scan faster.
 BLOCK_ROWS = 1 << 14
 
+# Largest k rainbow_ranks sorts by its network: beyond, np.sort's k log k beats k^2.
+NETWORK_MAX_K = 11
+
 
 @dataclass(frozen=True)
 class Progression:
@@ -120,7 +123,7 @@ def _check_interval(N: int, k: int) -> None:
 
 
 def _check_nk(n: int, k: int) -> None:
-    """The subset size k of a palette of n colours must satisfy 2 <= k <= n."""
+    """Require 2 <= k <= n: k = 1 would make a singleton a progression only by convention."""
     if k < 2:
         raise ParameterError(f"subset size k must be >= 2, got {k}")
     if k > n:
@@ -240,17 +243,20 @@ def rainbow_ranks(colors: np.ndarray, positions: np.ndarray,
     colors holds the colours (1..n) of the interval on its last axis, after any
     batch axes; positions the (m, k) 0-based terms of m progressions; comb_table
     is colex_table(n, k); the result has shape colors.shape[:-1] + (m,). The k
-    gathered columns are sorted by an odd-even transposition network (Knuth,
-    TAOCP vol. 3, 5.3.4): k passes, each one np.minimum and one np.maximum over
-    alternate adjacent column pairs. Sorted colours c_1 < ... < c_k rank as
-    sum_j C(c_j - 1, j); a row with a repeated colour gets -1, and as it can
-    point outside the table, the table index is clipped.
+    gathered colours are sorted by np.sort, or for k <= NETWORK_MAX_K by an
+    odd-even transposition network (Knuth, TAOCP vol. 3, 5.3.4): k passes of
+    np.minimum/np.maximum over alternate adjacent columns. Sorted c_1 < ... <
+    c_k rank as sum_j C(c_j - 1, j); a repeated colour gives -1 and may index
+    outside the table, so the index is clipped.
     """
     k = positions.shape[1]
-    cols = np.take(colors, positions.T, axis=-1)
-    for p in range(k):
-        lo, hi = cols[..., p % 2:k - 1:2, :], cols[..., p % 2 + 1:k:2, :]
-        lo[...], hi[...] = np.minimum(lo, hi), np.maximum(lo, hi)
+    if k > NETWORK_MAX_K:
+        cols = np.sort(np.take(colors, positions, axis=-1)).swapaxes(-1, -2).copy()
+    else:
+        cols = np.take(colors, positions.T, axis=-1)
+        for p in range(k):
+            lo, hi = cols[..., p % 2:k - 1:2, :], cols[..., p % 2 + 1:k:2, :]
+            lo[...], hi[...] = np.minimum(lo, hi), np.maximum(lo, hi)
     ranks = comb_table[0].take(cols[..., 0, :] - 1, mode="clip")
     for j in range(1, k):
         ranks += comb_table[j].take(cols[..., j, :] - j - 1, mode="clip")

@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 from math import comb
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -23,8 +24,10 @@ from rainbowcover import (
     verify_cover,
     witness,
 )
+from rainbowcover import combinatorics
 from rainbowcover.combinatorics import (
     BLOCK_ROWS,
+    NETWORK_MAX_K,
     colex_table,
     colex_unrank,
     progression_blocks,
@@ -113,6 +116,41 @@ def test_rainbow_ranks_batch_matches_rows(case, dtype):
     assert ranks.shape == (len(rows), len(positions))
     for row, expected in zip(batch, ranks):
         assert np.array_equal(rainbow_ranks(row, positions, table), expected)
+
+
+@st.composite
+def long_progression_batches(draw):
+    """(n, k, rows): k on both sides of NETWORK_MAX_K, each row distinct colours
+    with up to two positions recoloured, so rows with and without rainbow
+    progressions both occur."""
+    k = draw(st.integers(2, NETWORK_MAX_K + 6))
+    n = draw(st.integers(k, k + 4))
+    N = draw(st.integers(k, n))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.permutations(range(1, n + 1)))[:N]
+        for pos, colour in draw(st.lists(st.tuples(st.integers(0, N - 1), st.integers(1, n)),
+                                         max_size=2)):
+            row[pos] = colour
+        rows.append(row)
+    return n, k, rows
+
+
+@settings(deadline=None)
+@given(long_progression_batches(), st.sampled_from([np.int16, np.int64]))
+def test_rainbow_ranks_network_and_sort_match_oracle(case, dtype):
+    n, k, rows = case
+    batch = np.array(rows, dtype=dtype)
+    positions, table = oracle_positions(batch.shape[1], k), colex_table(n, k)
+    expected = [[ColorSet.from_colors(sorted(row[p] for p in terms), n).rank
+                 if len({row[p] for p in terms}) == k else -1
+                 for terms in positions.tolist()] for row in rows]
+    # force each sort in turn: the network for every k, then np.sort for every k
+    for limit in (k, k - 1):
+        with mock.patch.object(combinatorics, "NETWORK_MAX_K", limit):
+            assert rainbow_ranks(batch, positions, table).tolist() == expected
+            assert rainbow_ranks(batch[0], positions, table).tolist() == expected[0]
+    assert rainbow_ranks(batch, positions, table).tolist() == expected
 
 
 @st.composite
