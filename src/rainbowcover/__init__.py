@@ -5,6 +5,7 @@ minimal-length solver."""
 
 from .combinatorics import (
     ColorSet,
+    ColorSetView,
     PairIntersectionCounts,
     Progression,
     count_intersecting_pairs,

@@ -18,7 +18,8 @@ import os
 import secrets
 import sys
 from dataclasses import asdict
-from typing import Optional
+from itertools import chain
+from typing import Iterable, Optional
 
 from .bounds import (
     bounds_report_dict,
@@ -48,7 +49,7 @@ EXIT_INCOMPLETE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
-Outcome = tuple[int, dict, list[str]]
+Outcome = tuple[int, dict, Iterable[str]]
 
 
 def _ensure_seed(args) -> None:
@@ -88,12 +89,13 @@ def cmd_verify(args) -> Outcome:
     result = verify_cover(coloring, args.n, args.k, record_witnesses=args.witnesses)
     record = _record(args, "input", "n", "k", "witnesses")
     record.update(coverage_report_dict(coloring, result))
-    lines = [
+    head = [
         f"n={args.n} k={args.k} N={coloring.N}",
         f"covered {result.report.covered_count}/{result.report.total} subsets",
         "complete" if result.complete else "INCOMPLETE",
     ]
-    lines += [f"  uncovered: {list(cs.colors)}" for cs in result.uncovered]
+    # lazy, so JSON output never formats the uncovered lines
+    lines = chain(head, (f"  uncovered: {colors}" for colors in record["uncovered"]))
     return EXIT_OK if result.complete else EXIT_INCOMPLETE, record, lines
 
 
@@ -115,7 +117,7 @@ def cmd_construct(args) -> Outcome:
     except RoundsExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         record["error"] = "rounds-exhausted"
-        record["residual"] = [list(cs.colors) for cs in exc.residual]
+        record["residual"] = exc.residual.colors()
         record["rounds_used"] = exc.rounds_used
         return EXIT_BUDGET, record, []
 

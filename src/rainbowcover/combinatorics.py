@@ -8,9 +8,11 @@ between threads.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import index
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -182,7 +184,8 @@ def count_intersecting_pairs(N: int, k: int) -> PairIntersectionCounts:
     number of elements they share, from subset moments.
 
     Let m_T count the progressions containing a j-set T of positions, and
-    S_j = sum_T C(m_T, 2), read off the runs of the lexsorted j-subsets of all
+    S_j = sum_T C(m_T, 2). For j = 1, m_T is a bincount of all terms; for
+    j >= 2 it is read off the runs of the lexsorted j-subsets of all
     progressions. A pair sharing i elements shares C(i, j) j-sets, so
     S_j = sum_i C(i, j) h_i, inverted as h_i = sum_j (-1)^(j-i) C(j, i) S_j.
     A gather over PAIR_ENTRY_LIMIT entries raises BudgetExceededError up front.
@@ -197,8 +200,11 @@ def count_intersecting_pairs(N: int, k: int) -> PairIntersectionCounts:
         raise BudgetExceededError(
             f"pair tallies need {entries} gathered entries (h = {h}), "
             f"over the limit {PAIR_ENTRY_LIMIT}")
-    moments, dtype = [comb(h, 2)], np.min_scalar_type(N)
-    for j in range(1, k):
+    m = sum(np.bincount(positions.ravel(), minlength=N)
+            for _, _, positions in progression_blocks(N, k))
+    # the m_T sum to k*h and are at most h, so the int64 sum stays below k*h^2
+    moments, dtype = [comb(h, 2), int((m * (m - 1)).sum()) // 2], np.min_scalar_type(N)
+    for j in range(2, k):
         cols = np.array(list(combinations(range(k), j)))
         # a C-ordered (j, rows) array of the j-subsets' positions in the least dtype
         keys = np.concatenate([positions[:, cols].reshape(-1, j).T.astype(dtype, order="C")
@@ -274,6 +280,53 @@ def colex_unrank(ranks: np.ndarray, comb_table: np.ndarray) -> np.ndarray:
         out[:, j - 1] = off + j
         rest -= comb_table[j - 1, off]
     return out
+
+
+class ColorSetView(Sequence):
+    """Read-only sequence of the k-subsets of [n] with the given colex ranks,
+    read as ColorSet.
+
+    Only the int64 ranks are held, 8 bytes per subset, in a read-only array.
+    A ColorSet is built for an entry when it is read; iteration unranks
+    BLOCK_ROWS ranks at a time and ORs Python-int bits, so masks stay exact
+    for n > 63. A view equals a list when the two are equal entry by entry.
+    """
+
+    def __init__(self, ranks: np.ndarray, n: int, k: int):
+        self.ranks = np.asarray(ranks, dtype=np.int64).view()
+        self.ranks.flags.writeable = False
+        self.n, self.k = n, k
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+    def __getitem__(self, i: int | slice) -> ColorSet | ColorSetView:
+        if isinstance(i, slice):
+            return ColorSetView(self.ranks[i], self.n, self.k)
+        return ColorSet.from_rank(int(self.ranks[index(i)]), self.n, self.k)
+
+    def __iter__(self) -> Iterator[ColorSet]:
+        table = colex_table(self.n, self.k)
+        bits = [0] + [1 << c for c in range(self.n)]
+        for lo in range(0, len(self.ranks), BLOCK_ROWS):
+            block = self.ranks[lo:lo + BLOCK_ROWS]
+            masks = [0] * len(block)
+            for column in colex_unrank(block, table).T.tolist():
+                masks = [m | bits[c] for m, c in zip(masks, column)]
+            yield from map(ColorSet, masks, block.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ColorSetView):
+            # equal ranks give equal entries when k agrees or there are none
+            return (np.array_equal(self.ranks, other.ranks)
+                    and (self.k == other.k or not len(self)))
+        if isinstance(other, list):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def colors(self) -> list[list[int]]:
+        """The ascending colours of every entry, by one batch unrank."""
+        return colex_unrank(self.ranks, colex_table(self.n, self.k)).tolist()
 
 
 def _check_subset_params(n: int, k: int) -> None:

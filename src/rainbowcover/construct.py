@@ -22,12 +22,13 @@ from typing import Optional
 import numpy as np
 
 from .combinatorics import (
+    ColorSetView,
     _check_nk,
     colex_table,
     progression_blocks,
     rainbow_ranks,
 )
-from .coverage import Coloring, _check_family_size, _color_sets
+from .coverage import Coloring, _check_family_size
 from .errors import ParameterError, RoundsExhaustedError
 
 _BIT_GENERATORS = {"philox": np.random.Philox, "pcg64": np.random.PCG64}
@@ -237,7 +238,7 @@ def construct_cover(n: int, k: int, params: ConstructParams) -> ConstructResult:
     trace.rounds_used = len(blocks)
     trace.final_length = len(blocks) * length
     if uncovered.any():
-        residual = _color_sets(np.flatnonzero(uncovered), n, k)
+        residual = ColorSetView(np.flatnonzero(uncovered), n, k)
         raise RoundsExhaustedError(
             f"{len(residual)} of {total} subsets still uncovered after "
             f"{len(blocks)} rounds (limit {max_rounds})",

@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .combinatorics import (
-    BLOCK_ROWS,
     ColorSet,
+    ColorSetView,
     Progression,
     _check_nk,
     colex_table,
@@ -91,7 +91,7 @@ class CoverageReport:
 @dataclass
 class VerifyResult:
     complete: bool
-    uncovered: list[ColorSet]
+    uncovered: ColorSetView
     report: CoverageReport
 
 
@@ -149,32 +149,18 @@ def covered_family(coloring: Coloring, k: int,
     return CoverageReport(n, k, covered, count, witnesses)
 
 
-def _color_sets(ranks: np.ndarray, n: int, k: int) -> list[ColorSet]:
-    """ColorSet per colex rank, BLOCK_ROWS at a time; Python-int masks as n may exceed 63."""
-    table = colex_table(n, k)
-    bits = [0] + [1 << c for c in range(n)]
-    out = []
-    for lo in range(0, len(ranks), BLOCK_ROWS):
-        block = ranks[lo:lo + BLOCK_ROWS]
-        masks = [0] * len(block)
-        for column in colex_unrank(block, table).T.tolist():
-            masks = [m | bits[c] for m, c in zip(masks, column)]
-        out.extend(map(ColorSet, masks, block.tolist()))
-    return out
-
-
 def verify_cover(coloring: Coloring, n: int, k: int,
                  record_witnesses: bool = False) -> VerifyResult:
     """Decide whether the colouring covers every k-subset of [n].
 
-    `uncovered` lists the missing subsets in colex order, built by one batch
-    unrank per block of BLOCK_ROWS ranks, so a complete cover is exactly an
-    empty list.
+    `uncovered` holds the missing subsets in colex order as a read-only
+    sequence, built on access from their ranks, so a complete cover is exactly
+    an empty one.
     """
     if n != coloring.n:
         coloring = Coloring(coloring.colors, n)
     report = covered_family(coloring, k, record_witnesses)
-    uncovered = _color_sets(np.flatnonzero(~report.covered), n, k)
+    uncovered = ColorSetView(np.flatnonzero(~report.covered), n, k)
     return VerifyResult(not uncovered, uncovered, report)
 
 
@@ -245,7 +231,7 @@ def coverage_report_dict(coloring: Coloring, result: VerifyResult) -> dict:
         "complete": result.complete,
         "covered_count": report.covered_count,
         "total": report.total,
-        "uncovered": [list(cs.colors) for cs in result.uncovered],
+        "uncovered": result.uncovered.colors(),
     }
     if report.witnesses is not None:
         ranks = sorted(report.witnesses)

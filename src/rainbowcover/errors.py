@@ -39,8 +39,9 @@ class BudgetExceededError(RuntimeError):
 class RoundsExhaustedError(RuntimeError):
     """Block construction hit its round limit with subsets still uncovered.
 
-    `residual` lists the uncovered colour subsets; `trace` holds the partial
-    construction trace for diagnostics.
+    `residual` holds the uncovered colour subsets in colex order as a read-only
+    sequence, built on access; `trace` holds the partial construction trace
+    for diagnostics.
     """
 
     def __init__(self, message: str, residual=None, trace=None, rounds_used: int = 0):

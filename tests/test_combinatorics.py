@@ -120,6 +120,18 @@ class TestPairCounts:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_single_positions_need_no_sort(self):
+        # k = 2 has only the j = 1 moment, a bincount of the 4M terms: no
+        # gathered keys and no int64 sort index of 4M rows
+        tracemalloc.start()
+        try:
+            tallies = count_intersecting_pairs(2000, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(tallies.counts) == comb(tallies.total, 2)
+        assert peak < 8 * 2**20
+
     def test_guard_counts_largest_gather(self, monkeypatch):
         # the guard's unit is the largest gather, max_j h*C(k,j)*j; for (12, 3)
         # that is 30 * 3 * 2 = 180 entries

@@ -1,6 +1,8 @@
 import random
+import tracemalloc
 from math import comb
 
+import numpy as np
 import pytest
 
 import oracles
@@ -165,6 +167,21 @@ class TestVerifyCover:
         result = verify_cover(Coloring((1, 2), 2), 3, 2)
         assert not result.complete
         assert len(result.uncovered) == 2
+
+    def test_uncovered_memory_is_ranks(self):
+        # 1.23M of the 1.31M triples stay uncovered: held as 8-byte ranks,
+        # not as 1.23M ColorSet objects
+        colors = np.random.default_rng(0).integers(1, 201, size=600).tolist()
+        coloring = Coloring(tuple(colors), 200)
+        tracemalloc.start()
+        try:
+            result = verify_cover(coloring, 200, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.uncovered) + result.report.covered_count == comb(200, 3)
+        assert len(result.uncovered) > 1_200_000
+        assert peak < 32 * 2**20
 
 
 class TestWitness:

@@ -9,6 +9,7 @@ from math import comb
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,12 +29,13 @@ from rainbowcover import combinatorics
 from rainbowcover.combinatorics import (
     BLOCK_ROWS,
     NETWORK_MAX_K,
+    ColorSetView,
     colex_table,
     colex_unrank,
     progression_blocks,
     rainbow_ranks,
 )
-from rainbowcover.coverage import FAMILY_SIZE_LIMIT, _color_sets, coverage_report_dict
+from rainbowcover.coverage import FAMILY_SIZE_LIMIT, coverage_report_dict
 
 
 @st.composite
@@ -236,7 +238,39 @@ def test_colex_unrank_matches_subset_unrank(case):
         assert sum(1 << (c - 1) for c in row) == subset_unrank(rank, n, k)
     assert rainbow_ranks(np.arange(1, n + 1), colors - 1, table).tolist() == ranks
     expected = [ColorSet.from_rank(r, n, k) for r in ranks]
-    assert _color_sets(np.array(ranks, dtype=np.int64), n, k) == expected
+    assert ColorSetView(np.array(ranks, dtype=np.int64), n, k) == expected
+
+
+@settings(deadline=None)
+@given(colex_ranks())
+@example((100, 98, [0, 1, comb(100, 98) // 2, comb(100, 98) - 1]))
+@example((120, 3, [0, 1000, comb(120, 3) - 1]))
+def test_color_set_view_matches_from_rank(case):
+    n, k, ranks = case
+    expected = [ColorSet.from_rank(r, n, k) for r in ranks]
+    view = ColorSetView(np.array(ranks, dtype=np.int64), n, k)
+    assert len(view) == len(expected) and view
+    assert [view[i] for i in range(-len(view), len(view))] == expected + expected
+    for i in (len(view), -len(view) - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    for part in (slice(1, None), slice(None, None, 2), slice(None, None, -1),
+                 slice(len(view), None)):
+        assert isinstance(view[part], ColorSetView)
+        assert view[part] == expected[part] and expected[part] == view[part]
+    # unrank batches of 2 ranks, so iteration crosses batches whenever len > 2
+    with mock.patch.object(combinatorics, "BLOCK_ROWS", 2):
+        assert list(view) == expected
+    assert view == expected and expected == view
+    assert view != expected[:-1] and expected[:-1] != view
+    if len(expected) > 1:
+        assert view != expected[::-1] and expected[::-1] != view
+    assert view == ColorSetView(np.array(ranks), n, k) and view[:-1] != view
+    assert view.colors() == [list(cs.colors) for cs in expected]
+    empty = view[len(view):]
+    assert not empty and empty == [] and [] == empty and empty.colors() == []
+    with pytest.raises(ValueError):
+        view.ranks[0] = 1
 
 
 def test_uncovered_list_across_blocks():
