@@ -117,7 +117,8 @@ def cmd_construct(args) -> Outcome:
     except RoundsExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         record["error"] = "rounds-exhausted"
-        record["residual"] = exc.residual.colors()
+        if args.format == "json":  # text prints no record: skip the unranking
+            record["residual"] = exc.residual.colors()
         record["rounds_used"] = exc.rounds_used
         return EXIT_BUDGET, record, []
 

@@ -4,9 +4,19 @@ Positions are coloured left to right. A progression is finalized exactly once,
 at the step that colours its last element, so coverage is maintained
 incrementally with an undo list per assignment. Two accelerations:
 
-* counting prune: with p positions coloured, only the progressions whose last
-  element is still uncoloured can cover anything new; if they are fewer than
-  the uncovered subsets, the branch is dead.
+* prefix-class prune: a progression not yet finalized can still cover at most
+  one subset, a superset of the colour mask P of its coloured terms, and none
+  if two of those terms share a colour (it is dead). Grouping the live
+  progressions by P, at most B = sum over P of min(cnt[P], sup[P]) subsets can
+  still be covered, where cnt[P] counts the class and sup[P] the uncovered
+  k-sets containing P; the branch is cut when the covered count plus B falls
+  short of C(n, k). B is kept up to date, not recomputed: colouring a
+  position with colour c moves each progression through it (but not ending
+  there) from P to P + {c}, or to dead; finalizing one takes it out of its
+  class and covers P + {c}; covering R lowers sup of each of R's 2^k
+  subsets; and each change moves B by the change in that one min term. Each
+  mask reached gets a class number, and the per-class state is kept in lists
+  indexed by it, never in a 2^n table.
 * symmetry breaking: colour classes are interchangeable, so the first
   occurrence of colour c is forced before the first occurrence of colour c+1.
 
@@ -54,6 +64,57 @@ class ExactResult:
     refuted_up_to: int
 
 
+class _PrefixClasses:
+    """The colour masks of progression prefixes, numbered as first reached.
+
+    Class P has colour mask masks[P]; cnt[P] counts the live unfinalized
+    progressions whose coloured terms carry exactly those colours, and sup[P]
+    the uncovered k-sets containing them. child[P][c] is the class of
+    masks[P] plus colour c, or -1 if masks[P] has c; step() fills it on first
+    use. subsets[R] lists the classes of the subsets of a k-set class R;
+    subsets_of() fills it. Only the masks reached get a class, so nothing is
+    sized 2^n.
+    """
+
+    def __init__(self, n: int, k: int):
+        self.n, self.k = n, k
+        self.full = [comb(n - j, k - j) for j in range(k + 1)]
+        self.index: dict[int, int] = {}
+        self.masks: list[int] = []
+        self.cnt: list[int] = []
+        self.sup: list[int] = []
+        self.child: list[Optional[list[Optional[int]]]] = []
+        self.subsets: list[Optional[list[int]]] = []
+
+    def class_of(self, mask: int) -> int:
+        P = self.index.get(mask)
+        if P is None:
+            size = mask.bit_count()
+            P = self.index[mask] = len(self.masks)
+            self.masks.append(mask)
+            self.cnt.append(0)
+            self.sup.append(self.full[size])
+            self.child.append([None] * (self.n + 1) if size < self.k else None)
+            self.subsets.append(None)
+        return P
+
+    def step(self, P: int, c: int) -> int:
+        mask, bit = self.masks[P], 1 << (c - 1)
+        Q = self.child[P][c] = -1 if mask & bit else self.class_of(mask | bit)
+        return Q
+
+    def subsets_of(self, R: int) -> list[int]:
+        mask = S = self.masks[R]
+        found = []
+        while True:
+            found.append(self.class_of(S))
+            if not S:
+                break
+            S = (S - 1) & mask
+        self.subsets[R] = found
+        return found
+
+
 def _search(n: int, k: int, N: int, config: SearchConfig,
             budget: int) -> tuple[Optional[tuple[int, ...]], int]:
     """Core DFS. Returns (colouring or None, nodes visited).
@@ -62,33 +123,41 @@ def _search(n: int, k: int, N: int, config: SearchConfig,
     without settling the instance.
     """
     total = comb(n, k)
-    # 0-based position lists grouped by their last element
-    by_last: list[list[list[int]]] = [[] for _ in range(N)]
+    # progression ids by 0-based position: those with a term there that is
+    # not their last, and those that end there
+    through: list[list[int]] = [[] for _ in range(N)]
+    ending: list[list[int]] = [[] for _ in range(N)]
+    h = 0
     for _, _, positions in progression_blocks(N, k):
         for pos in positions.tolist():
-            by_last[pos[-1]].append(pos)
-    # progressions finalized at position >= i, for the counting prune
-    remaining_after = [0] * (N + 1)
-    for i in range(N - 1, -1, -1):
-        remaining_after[i] = remaining_after[i + 1] + len(by_last[i])
+            for p in pos[:-1]:
+                through[p].append(h)
+            ending[pos[-1]].append(h)
+            h += 1
 
     pruning = not config.oracle_mode
     early_fill = not config.oracle_mode
 
+    classes = _PrefixClasses(n, k)
+    cnt, sup, child, subsets = classes.cnt, classes.sup, classes.child, classes.subsets
+    step, subsets_of = classes.step, classes.subsets_of
+    empty = classes.class_of(0)
+    cls = [empty] * h  # the class of each progression, -1 once dead
+    cnt[empty] = h
+    bound = min(h, total)  # sum over the classes P of min(cnt[P], sup[P])
+    covered: set[int] = set()  # classes of the covered k-sets
     colors = [0] * N
-    covered: set[int] = set()  # colour bitmasks of the covered subsets
     nodes = 0
 
     def rec(i: int, count: int, used_max: int) -> Optional[tuple[int, ...]]:
-        nonlocal nodes
+        nonlocal nodes, bound
         if early_fill and count == total:
             return tuple(colors[:i]) + (1,) * (N - i)
         if i == N:
             return tuple(colors) if count == total else None
-        if pruning and count + remaining_after[i] < total:
+        if pruning and count + bound < total:
             return None
         top = min(used_max + 1, n) if pruning else n
-        finalized = by_last[i]
         for c in range(1, top + 1):
             nodes += 1
             if nodes > budget:
@@ -96,25 +165,73 @@ def _search(n: int, k: int, N: int, config: SearchConfig,
                     f"node budget {budget} exhausted at interval length {N}",
                     nodes_explored=nodes)
             colors[i] = c
+            saved = bound
+            # Scalar on purpose: a node touches only a few progressions, so a
+            # numpy call per node would cost more than these loops. Each
+            # change to cnt or sup moves bound by the change in its min term.
+            moved = []
+            for j in through[i]:
+                P = cls[j]
+                if P < 0:
+                    continue
+                moved.append((j, P))
+                Q = child[P][c]
+                if Q is None:
+                    Q = step(P, c)
+                cls[j] = Q
+                if pruning:
+                    m = cnt[P]
+                    cnt[P] = m - 1
+                    if m <= sup[P]:
+                        bound -= 1
+                    if Q >= 0:
+                        m = cnt[Q]
+                        cnt[Q] = m + 1
+                        if m < sup[Q]:
+                            bound += 1
+            ended = []
             newly = []
-            # Scalar on purpose: a node finalizes only a few progressions, so
-            # a numpy call per node would cost more than this loop.
-            for pos in finalized:
-                mask = 0
-                for p in pos:
-                    b = 1 << (colors[p] - 1)
-                    if mask & b:
-                        mask = 0
-                        break
-                    mask |= b
-                if mask and mask not in covered:
-                    covered.add(mask)
-                    newly.append(mask)
+            for j in ending[i]:
+                P = cls[j]
+                if P < 0:
+                    continue
+                if pruning:
+                    ended.append(P)
+                    m = cnt[P]
+                    cnt[P] = m - 1
+                    if m <= sup[P]:
+                        bound -= 1
+                R = child[P][c]
+                if R is None:
+                    R = step(P, c)
+                if R < 0 or R in covered:
+                    continue
+                covered.add(R)
+                newly.append(R)
+                if pruning:  # each subset of R loses R from its uncovered supersets
+                    for S in subsets[R] or subsets_of(R):
+                        m = sup[S]
+                        sup[S] = m - 1
+                        if cnt[S] >= m:
+                            bound -= 1
             found = rec(i + 1, count + len(newly), c if c > used_max else used_max)
             if found is not None:
                 return found
-            for mask in newly:
-                covered.discard(mask)
+            for R in newly:
+                covered.discard(R)
+                if pruning:
+                    for S in subsets[R]:
+                        sup[S] += 1
+            for P in ended:
+                cnt[P] += 1
+            for j, P in moved:
+                if pruning:
+                    Q = cls[j]
+                    if Q >= 0:
+                        cnt[Q] -= 1
+                    cnt[P] += 1
+                cls[j] = P
+            bound = saved
         colors[i] = 0
         return None
 

@@ -103,3 +103,56 @@ def exhaustive_cover_search(n: int, k: int, N: int):
         if not missing:
             return colors
     return None
+
+
+def prefix_bound_search(n: int, k: int, N: int):
+    """(first covering colouring, nodes) of the pruned exact search, replayed.
+
+    The same depth-first order as the package's search: colours 1..n in
+    turn, each new colour at most one above the largest used so far, and the
+    rest filled with colour 1 once everything is covered. A node is one
+    colour assignment. The prefix-class bound is recomputed from scratch at
+    every node: each progression with an uncoloured term whose coloured terms
+    have distinct colours P can still cover one uncovered k-set containing P,
+    so the branch is cut when the covered sets plus the sum over the classes
+    P of min(#progressions, #uncovered k-sets containing P) fall short of
+    C(n, k).
+    """
+    needed = set(all_subsets(n, k))
+    progs = [progression_terms(s, d, k) for s, d in progressions(N, k)]
+    colors: list[int] = []
+    nodes = 0
+
+    def rec():
+        nonlocal nodes
+        i = len(colors)
+        covered = set()
+        classes: dict[frozenset[int], int] = {}
+        for terms in progs:
+            values = [colors[p - 1] for p in terms if p <= i]
+            if len(set(values)) < len(values):
+                continue
+            if len(values) == k:
+                covered.add(frozenset(values))
+            else:
+                prefix = frozenset(values)
+                classes[prefix] = classes.get(prefix, 0) + 1
+        if covered == needed:
+            return tuple(colors) + (1,) * (N - i)
+        if i == N:
+            return None
+        uncovered = needed - covered
+        bound = sum(min(count, sum(1 for s in uncovered if prefix <= s))
+                    for prefix, count in classes.items())
+        if len(covered) + bound < len(needed):
+            return None
+        for c in range(1, min(max(colors, default=0) + 1, n) + 1):
+            nodes += 1
+            colors.append(c)
+            found = rec()
+            colors.pop()
+            if found is not None:
+                return found
+        return None
+
+    return rec(), nodes

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import time
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowcover import cli
+from rainbowcover.combinatorics import ColorSetView
 
 GOLDEN_TEXT = "4 6 5 1 3 4 2 5 6 3 1 4\n"
 
@@ -163,6 +165,15 @@ class TestConstruct:
         assert record["error"] == "rounds-exhausted"
         assert record["residual"]
 
+    def test_rounds_exhausted_text_renders_no_residual(self, capsys, monkeypatch):
+        calls = []
+        render = ColorSetView.colors
+        monkeypatch.setattr(ColorSetView, "colors",
+                            lambda view: calls.append(len(view)) or render(view))
+        code, out, _ = run_cli(capsys, "construct", "--n", "200", "--k", "3", "--seed", "5",
+                               "--samples", "1", "--max-rounds", "1", "--text")
+        assert code == 3 and out == "" and calls == []
+
 
 class TestCount:
     def test_count_and_pairs(self, capsys):
@@ -282,14 +293,27 @@ class TestExact:
 
 
     def test_budget_used_up_exactly_exit_three(self, capsys):
-        # deciding N = 5 takes exactly 16 nodes, so none are left for N = 6
+        # deciding N = 5 takes exactly 14 nodes, so none are left for N = 6
         code, out, err = run_cli(capsys, "exact", "--n", "4", "--k", "3",
-                                 "--budget", "16")
+                                 "--budget", "14")
         assert code == 3
         record = json.loads(out)
         assert record["error"] == "budget-exceeded"
         assert record["refuted_up_to"] == 5
         assert "must be >= 1" not in err
+
+    def test_large_palette_keeps_no_mask_table(self, capsys):
+        # the prefix classes number only the masks reached: nothing is 2^n long
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "exact", "--n", "40", "--k", "3",
+                                     "--budget", "1000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and json.loads(out)["error"] == "budget-exceeded"
+        assert "Traceback" not in err
+        assert peak < 8 * 2**20
 
 
 class TestCommonFlags:
@@ -382,7 +406,8 @@ class TestCommonFlags:
 # argv -> (exit code, sha256 of stdout with --json, with --text, sha256 of
 # each file written), pinned from the CLI before it was rewritten around one
 # print path; exact's JSON has since dropped its "symmetry_breaking" param, and
-# count's and bounds' JSON their pair-scan "budget" param.
+# count's and bounds' JSON their pair-scan "budget" param. The prefix-class
+# prune changed only "nodes_explored" in two exact records (41 -> 26, 16 -> 14).
 GOLDEN = {
     "verify --input golden.txt --n 6 --k 3":
         (0, "fbd57d66869554a2956d69acf7537d829115dee9329895276009eaf027525ed2",
@@ -444,8 +469,8 @@ GOLDEN = {
         (0, "5482eca4aee82d485b25e9ef3d494f9ee3e95424ca5d18457a79a8ccbe914596",
          "0133f400245d2eab066e757862a5b0d7a37cfe50b7b652322104307d8a8e72ca", {}),
     "exact --n 4 --k 3 --output witness.txt":
-        (0, "5d8b9724548e1944a99531dc9c8e75d8b159495c75643d894d0132e5d61863b4",
-         "2c1d3ab7ae13a568b2d4a169326c745e12fc905209d5cf200b504c8375542629",
+        (0, "587e1982eca0f66d1bd80806db7d533f5cad942c70399dce5623ca0611c67bfd",
+         "8d390f5b37bb173d7721b41c84c610bbd7c01470f9908561d54c77bb093a3e3c",
          {"witness.txt": "4c4ecd6a7c03f01bac007ca7643070bf9b7df35c6626391488d534e031ffd1bf"}),
     "exact --n 4 --k 3 --oracle --max-N 8":
         (0, "6d19f8c767d0e93b7b155c014dc93d1bb8cb18b2d06420e2a61356b5db33ff31",
@@ -454,7 +479,7 @@ GOLDEN = {
         (3, "2e554242ed92e87321daa0640cb2c2d9f254aafdf8f46296b7979aa1618b892c",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {}),
     "exact --n 4 --k 3 --max-N 5":
-        (3, "50fa99d3f692c06fe3abb9795524a52118ddfa150d87b347e8aa08ac0fc59c68",
+        (3, "b1690b8379764931be10ec4da92abc15739c3655e77950d1093cb95940af0ba0",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {}),
 }
 

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from rainbowcover import (
     BudgetExceededError,
+    Coloring,
     ConstructParams,
     ParameterError,
     SearchConfig,
@@ -12,6 +15,7 @@ from rainbowcover import (
     lower_bound_N,
     verify_cover,
 )
+from rainbowcover.exact import _search
 
 ORACLE = SearchConfig(oracle_mode=True)
 
@@ -31,9 +35,11 @@ KNOWN_VALUES = {
 # nodes explored and witness of the default search, pinned so that a change
 # to the DFS bookkeeping cannot silently change the order of the search
 KNOWN_SEARCHES = {
-    (4, 3): (41, (1, 1, 2, 3, 4, 1)),
-    (5, 3): (1019, (1, 1, 2, 3, 4, 1, 5, 2, 3)),
-    (4, 4): (23, (1, 2, 3, 4)),
+    (4, 3): (26, (1, 1, 2, 3, 4, 1)),
+    (5, 3): (299, (1, 1, 2, 3, 4, 1, 5, 2, 3)),
+    (4, 4): (10, (1, 2, 3, 4)),
+    (6, 3): (37034, (1, 2, 3, 4, 5, 1, 6, 3, 2, 5, 4, 1)),
+    (6, 4): (39698, (1, 1, 2, 1, 3, 4, 5, 6, 4, 2, 1, 3, 6, 5)),
 }
 
 
@@ -77,6 +83,13 @@ class TestExistsCover:
         assert info.value.nodes_explored is not None
         assert info.value.nodes_explored >= 50
 
+    def test_seven_three_fourteen_refuted(self):
+        assert exists_cover(7, 3, 14) is None
+
+    def test_seven_three_sixteen_witness(self):
+        colors = (1, 2, 3, 3, 4, 5, 6, 7, 1, 7, 5, 4, 2, 3, 6, 1)
+        assert verify_cover(Coloring(colors, 7), 7, 3).complete
+
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
             exists_cover(3, 1, 3)
@@ -97,6 +110,20 @@ class TestAcExact:
         assert result.nodes_explored > 0
         if nk in KNOWN_SEARCHES:
             assert (result.nodes_explored, result.witness.colors) == KNOWN_SEARCHES[nk]
+
+    @pytest.mark.parametrize("nk", [nk for nk in KNOWN_SEARCHES if nk not in KNOWN_VALUES],
+                             ids=lambda nk: f"n{nk[0]}-k{nk[1]}")
+    def test_known_searches_beyond_the_oracle(self, nk):
+        result = ac_exact(*nk)
+        assert (result.nodes_explored, result.witness.colors) == KNOWN_SEARCHES[nk]
+        assert result.refuted_up_to == result.value - 1
+        assert verify_cover(result.witness, *nk).complete
+
+    def test_repeated_colour_kills_the_only_progression(self):
+        # one 14-progression in [14]: a colour already used makes it dead, so
+        # every such branch is cut at once and position i costs i + 1 nodes
+        result = ac_exact(14, 14, SearchConfig(node_budget=105))
+        assert result.value == 14 and result.nodes_explored <= 105
 
     def test_agrees_with_oracle_mode(self):
         for n, k in [(2, 2), (3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (5, 3), (4, 4)]:
@@ -135,3 +162,27 @@ class TestAcExact:
             ac_exact(3, 4)
         with pytest.raises(ParameterError):
             SearchConfig(node_budget=0)
+
+
+@st.composite
+def small_instances(draw):
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(k, 5))
+    N = draw(st.integers(k, lower_bound_N(n, k) + 2))
+    return n, k, N
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_instances())
+def test_search_matches_prefix_bound_oracle(case):
+    n, k, N = case
+    assert _search(n, k, N, SearchConfig(), 10**6) == oracles.prefix_bound_search(n, k, N)
+    if n**N <= 2**16:
+        assert (exists_cover(n, k, N) is None) == (exists_cover(n, k, N, ORACLE) is None)
+
+
+@pytest.mark.slow
+def test_ac_7_3():
+    result = ac_exact(7, 3)
+    assert result.value == 16 and result.refuted_up_to == 15
+    assert verify_cover(result.witness, 7, 3).complete
