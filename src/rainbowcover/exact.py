@@ -12,11 +12,14 @@ incrementally with an undo list per assignment. Two accelerations:
   k-sets containing P; the branch is cut when the covered count plus B falls
   short of C(n, k). B is kept up to date, not recomputed: colouring a
   position with colour c moves each progression through it (but not ending
-  there) from P to P + {c}, or to dead; finalizing one takes it out of its
-  class and covers P + {c}; covering R lowers sup of each of R's 2^k
-  subsets; and each change moves B by the change in that one min term. Each
-  mask reached gets a class number, and the per-class state is kept in lists
-  indexed by it, never in a 2^n table.
+  there) from P to P + {c}, or to dead, where those starting there all leave
+  the empty class for {c} as one block; finalizing one takes it out of its
+  class and covers P + {c}; covering R lowers sup of each class inside R;
+  and each change moves B by the change in that one min term. Each mask
+  reached gets a class number, and the per-class state is kept in lists
+  indexed by it. No state is sized 2^n, and a cover costs 2^k steps only
+  where 2^k is at most the number of progressions, otherwise a scan of the
+  classes made so far, so the node budget bounds the work.
 * symmetry breaking: colour classes are interchangeable, so the first
   occurrence of colour c is forced before the first occurrence of colour c+1.
 
@@ -30,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from typing import Optional
+
+import numpy as np
 
 from .combinatorics import _check_interval, progression_blocks
 from .coverage import Coloring, _check_family_size, verify_cover
@@ -64,55 +69,10 @@ class ExactResult:
     refuted_up_to: int
 
 
-class _PrefixClasses:
-    """The colour masks of progression prefixes, numbered as first reached.
-
-    Class P has colour mask masks[P]; cnt[P] counts the live unfinalized
-    progressions whose coloured terms carry exactly those colours, and sup[P]
-    the uncovered k-sets containing them. child[P][c] is the class of
-    masks[P] plus colour c, or -1 if masks[P] has c; step() fills it on first
-    use. subsets[R] lists the classes of the subsets of a k-set class R;
-    subsets_of() fills it. Only the masks reached get a class, so nothing is
-    sized 2^n.
-    """
-
-    def __init__(self, n: int, k: int):
-        self.n, self.k = n, k
-        self.full = [comb(n - j, k - j) for j in range(k + 1)]
-        self.index: dict[int, int] = {}
-        self.masks: list[int] = []
-        self.cnt: list[int] = []
-        self.sup: list[int] = []
-        self.child: list[Optional[list[Optional[int]]]] = []
-        self.subsets: list[Optional[list[int]]] = []
-
-    def class_of(self, mask: int) -> int:
-        P = self.index.get(mask)
-        if P is None:
-            size = mask.bit_count()
-            P = self.index[mask] = len(self.masks)
-            self.masks.append(mask)
-            self.cnt.append(0)
-            self.sup.append(self.full[size])
-            self.child.append([None] * (self.n + 1) if size < self.k else None)
-            self.subsets.append(None)
-        return P
-
-    def step(self, P: int, c: int) -> int:
-        mask, bit = self.masks[P], 1 << (c - 1)
-        Q = self.child[P][c] = -1 if mask & bit else self.class_of(mask | bit)
-        return Q
-
-    def subsets_of(self, R: int) -> list[int]:
-        mask = S = self.masks[R]
-        found = []
-        while True:
-            found.append(self.class_of(S))
-            if not S:
-                break
-            S = (S - 1) & mask
-        self.subsets[R] = found
-        return found
+def _split(items: list, at: np.ndarray, N: int) -> list[list]:
+    """`items`, sorted by their positions `at` in [0, N), as one list per position."""
+    cuts = [0] + np.cumsum(np.bincount(at, minlength=N)).tolist()
+    return [items[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _search(n: int, k: int, N: int, config: SearchConfig,
@@ -123,29 +83,100 @@ def _search(n: int, k: int, N: int, config: SearchConfig,
     without settling the instance.
     """
     total = comb(n, k)
-    # progression ids by 0-based position: those with a term there that is
-    # not their last, and those that end there
-    through: list[list[int]] = [[] for _ in range(N)]
-    ending: list[list[int]] = [[] for _ in range(N)]
-    h = 0
-    for _, _, positions in progression_blocks(N, k):
-        for pos in positions.tolist():
-            for p in pos[:-1]:
-                through[p].append(h)
-            ending[pos[-1]].append(h)
-            h += 1
+    full = [comb(n - j, k - j) for j in range(k + 1)]
+    # The class of each progression lives in a slot of `state`. Slot p < N
+    # holds the class of {colour of position p}, which every progression
+    # starting at p has after its first term, so those move as one block of
+    # starts[p]; from its second term on, progression j has slot N + j.
+    # through[i] lists (slot read, slot written) for each progression with a
+    # later term at i that is not its last, and ending[i] the slot read by
+    # each one that ends at i, both in progression order. Built with numpy:
+    # at long intervals a Python loop over the terms costs more than the
+    # search's first thousand nodes.
+    blocks = [p for _, _, p in progression_blocks(N, k)]
+    pos = np.concatenate(blocks) if blocks else np.empty((0, k), dtype=np.int64)
+    h = len(pos)
+    slots = np.arange(N, N + h)
+    reads = np.empty((h, k - 1), dtype=np.int64)  # the slot read at terms 1..k-1
+    reads[:, 0] = pos[:, 0]
+    reads[:, 1:] = slots[:, None]
+    starts = np.bincount(pos[:, 0], minlength=N).tolist()
+    mid = pos[:, 1:-1].ravel()
+    order = np.argsort(mid, kind="stable")
+    through = _split(list(zip(reads[:, :-1].ravel()[order].tolist(),
+                              np.repeat(slots, k - 2)[order].tolist())), mid, N)
+    order = np.argsort(pos[:, -1], kind="stable")
+    ending = _split(reads[order, -1].tolist(), pos[:, -1], N)
+    state = [0] * (N + h)
+    # The progressions not started before position i form the empty class.
+    # Its min term is min(unstarted[i], total - count), computed rather than
+    # kept; where the second is the smaller, no cut can happen anyway, so
+    # the cut test adds unstarted[i].
+    unstarted = [0] * (N + 1)
+    for i in range(N - 1, -1, -1):
+        unstarted[i] = unstarted[i + 1] + starts[i]
+
+    # Prefix classes, numbered as their masks are first reached: class P has
+    # colour mask masks[P], cnt[P] live unfinalized progressions and sup[P]
+    # uncovered k-sets containing it; child[P][c] is the class of masks[P]
+    # plus colour c, -1 if masks[P] has c, None until first asked for.
+    # If a k-set has at most h subsets (`eager`), its first cover makes a
+    # class of each, kept in subsets[R], at no more cost than a pass over the
+    # progressions; so a class made later has no covered superset. Otherwise
+    # a cover scans the classes made so far, and a new class counts its
+    # covered supersets. Either way the cost is not 2^n, nor 2^k for large k.
+    eager = 1 << k <= h
+    index: dict[int, int] = {}
+    masks: list[int] = []
+    cnt: list[int] = []
+    sup: list[int] = []
+    child: list[Optional[list[Optional[int]]]] = []
+    subsets: list[Optional[list[int]]] = []
+    small: list[int] = []  # the nonempty classes with fewer than k colours
+    covered: set[int] = set()  # classes of the covered k-sets
+
+    def class_of(mask: int) -> int:
+        P = index.get(mask)
+        if P is not None:
+            return P
+        size = mask.bit_count()
+        P = index[mask] = len(masks)
+        masks.append(mask)
+        cnt.append(0)
+        s = full[size]
+        if 0 < size < k:
+            small.append(P)
+            if not eager:
+                s -= sum(masks[R] & mask == mask for R in covered)
+        sup.append(s)
+        child.append([None] * (n + 1) if size < k else None)
+        subsets.append(None)
+        return P
+
+    def subsets_of(R: int) -> list[int]:
+        """Classes of the nonempty proper subsets of k-set class R: if eager,
+        all of them, made now and kept; otherwise those made so far."""
+        mask = masks[R]
+        if not eager:
+            return [S for S in small if masks[S] & mask == masks[S]]
+        found = subsets[R] = []
+        S = (mask - 1) & mask
+        while S:
+            found.append(class_of(S))
+            S = (S - 1) & mask
+        return found
+
+    def nxt(P: int, c: int) -> int:
+        """child[P][c], filled on first use; the hot loops test for None."""
+        mask, bit = masks[P], 1 << (c - 1)
+        Q = child[P][c] = -1 if mask & bit else class_of(mask | bit)
+        return Q
 
     pruning = not config.oracle_mode
     early_fill = not config.oracle_mode
 
-    classes = _PrefixClasses(n, k)
-    cnt, sup, child, subsets = classes.cnt, classes.sup, classes.child, classes.subsets
-    step, subsets_of = classes.step, classes.subsets_of
-    empty = classes.class_of(0)
-    cls = [empty] * h  # the class of each progression, -1 once dead
-    cnt[empty] = h
-    bound = min(h, total)  # sum over the classes P of min(cnt[P], sup[P])
-    covered: set[int] = set()  # classes of the covered k-sets
+    empty = class_of(0)
+    bound = 0  # sum over the nonempty classes P of min(cnt[P], sup[P])
     colors = [0] * N
     nodes = 0
 
@@ -155,9 +186,10 @@ def _search(n: int, k: int, N: int, config: SearchConfig,
             return tuple(colors[:i]) + (1,) * (N - i)
         if i == N:
             return tuple(colors) if count == total else None
-        if pruning and count + bound < total:
+        if pruning and count + bound + unstarted[i] < total:
             return None
         top = min(used_max + 1, n) if pruning else n
+        s = starts[i]
         for c in range(1, top + 1):
             nodes += 1
             if nodes > budget:
@@ -167,18 +199,30 @@ def _search(n: int, k: int, N: int, config: SearchConfig,
             colors[i] = c
             saved = bound
             # Scalar on purpose: a node touches only a few progressions, so a
-            # numpy call per node would cost more than these loops. Each
-            # change to cnt or sup moves bound by the change in its min term.
+            # numpy call per node would cost more than these loops, and the
+            # child lookups are inlined because a call per progression costs
+            # about a tenth of the search. Each change to cnt or sup moves
+            # bound by the change in its min term.
+            if s:
+                single = child[empty][c]
+                if single is None:
+                    single = nxt(empty, c)
+                state[i] = single
+                if pruning:
+                    m, u = cnt[single], sup[single]
+                    cnt[single] = m + s
+                    if m < u:
+                        bound += min(s, u - m)
             moved = []
-            for j in through[i]:
-                P = cls[j]
+            for a, b in through[i]:
+                P = state[a]
                 if P < 0:
                     continue
-                moved.append((j, P))
+                moved.append((b, P))
                 Q = child[P][c]
                 if Q is None:
-                    Q = step(P, c)
-                cls[j] = Q
+                    Q = nxt(P, c)
+                state[b] = Q
                 if pruning:
                     m = cnt[P]
                     cnt[P] = m - 1
@@ -191,8 +235,8 @@ def _search(n: int, k: int, N: int, config: SearchConfig,
                             bound += 1
             ended = []
             newly = []
-            for j in ending[i]:
-                P = cls[j]
+            for a in ending[i]:
+                P = state[a]
                 if P < 0:
                     continue
                 if pruning:
@@ -203,12 +247,12 @@ def _search(n: int, k: int, N: int, config: SearchConfig,
                         bound -= 1
                 R = child[P][c]
                 if R is None:
-                    R = step(P, c)
+                    R = nxt(P, c)
                 if R < 0 or R in covered:
                     continue
                 covered.add(R)
                 newly.append(R)
-                if pruning:  # each subset of R loses R from its uncovered supersets
+                if pruning:  # each class inside R loses R from its uncovered supersets
                     for S in subsets[R] or subsets_of(R):
                         m = sup[S]
                         sup[S] = m - 1
@@ -220,17 +264,19 @@ def _search(n: int, k: int, N: int, config: SearchConfig,
             for R in newly:
                 covered.discard(R)
                 if pruning:
-                    for S in subsets[R]:
+                    for S in subsets[R] or subsets_of(R):
                         sup[S] += 1
             for P in ended:
                 cnt[P] += 1
-            for j, P in moved:
+            for b, P in moved:
                 if pruning:
-                    Q = cls[j]
+                    Q = state[b]
                     if Q >= 0:
                         cnt[Q] -= 1
                     cnt[P] += 1
-                cls[j] = P
+                state[b] = P
+            if pruning and s:
+                cnt[single] -= s
             bound = saved
         colors[i] = 0
         return None

@@ -315,6 +315,18 @@ class TestExact:
         assert "Traceback" not in err
         assert peak < 8 * 2**20
 
+    def test_long_progression_keeps_no_subset_table(self, capsys):
+        # one 26-progression in [26]: its cover must not make 2^26 subset classes
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "exact", "--n", "26", "--k", "26",
+                                     "--budget", "1000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(out)["ac"] == 26
+        assert peak < 8 * 2**20
+
 
 class TestCommonFlags:
     def test_threads_rejected(self, capsys):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -174,6 +174,13 @@ def small_instances(draw):
 
 @settings(deadline=None, max_examples=60)
 @given(small_instances())
+# In the first two a k-set has more subsets than [N] has progressions, so
+# each cover scans the classes made so far; in the last two it has fewer, so
+# all its subset classes are made at its first cover.
+@example((3, 3, 6))
+@example((6, 4, 11))
+@example((5, 3, 10))
+@example((4, 4, 13))
 def test_search_matches_prefix_bound_oracle(case):
     n, k, N = case
     assert _search(n, k, N, SearchConfig(), 10**6) == oracles.prefix_bound_search(n, k, N)
