@@ -29,7 +29,7 @@ PAIR_ENTRY_LIMIT = 1 << 25
 BLOCK_ROWS = 1 << 14
 
 # Largest k rainbow_ranks sorts by its network: beyond, np.sort's k log k beats k^2.
-NETWORK_MAX_K = 11
+NETWORK_MAX_K = 16
 
 
 @dataclass(frozen=True)
@@ -236,8 +236,8 @@ def hi_upper_bounds(N: int, k: int) -> tuple[int, ...]:
 
 def colex_table(n: int, k: int) -> np.ndarray:
     """The comb table of rainbow_ranks: row j-1 holds C(c, j) for c = j-1, ...,
-    n-k+j-1, the colex terms the j-th smallest colour of a k-subset of [n] can
-    contribute. No entry exceeds C(n,k)."""
+    n-k+j-1, the colex terms of the j-th smallest colour of a k-subset of [n], at
+    flat entry (j-1)(n-k) + c. No entry exceeds C(n,k)."""
     return np.array([[comb(c, j) for c in range(j - 1, n - k + j)]
                      for j in range(1, k + 1)], dtype=np.int64)
 
@@ -248,25 +248,28 @@ def rainbow_ranks(colors: np.ndarray, positions: np.ndarray,
 
     colors holds the colours (1..n) of the interval on its last axis, after any
     batch axes; positions the (m, k) 0-based terms of m progressions; comb_table
-    is colex_table(n, k); the result has shape colors.shape[:-1] + (m,). The k
-    gathered colours are sorted by np.sort, or for k <= NETWORK_MAX_K by an
-    odd-even transposition network (Knuth, TAOCP vol. 3, 5.3.4): k passes of
-    np.minimum/np.maximum over alternate adjacent columns. Sorted c_1 < ... <
-    c_k rank as sum_j C(c_j - 1, j); a repeated colour gives -1 and may index
-    outside the table, so the index is clipped.
+    is colex_table(n, k); the result has shape colors.shape[:-1] + (m,). Colours
+    are made 0-based once. For k <= NETWORK_MAX_K, in the least unsigned dtype
+    holding n-1, the k gathered columns go through an odd-even transposition
+    network (Knuth, TAOCP vol. 3, 5.3.4): k passes of np.minimum/np.maximum over
+    alternate adjacent columns; larger k uses np.sort. Sorted c_1 < ... < c_k rank
+    as sum_j C(c_j - 1, j), term j read at entry (j-1)(n-k) + c_j - 1 of the flat
+    table, inside it for every colour 1..n; a repeated colour ranks -1.
     """
     k = positions.shape[1]
+    flat, step = comb_table.ravel(), comb_table.shape[1] - 1  # step = n - k
     if k > NETWORK_MAX_K:
-        cols = np.sort(np.take(colors, positions, axis=-1)).swapaxes(-1, -2).copy()
+        cols = np.sort(np.take(colors - 1, positions, axis=-1)).swapaxes(-1, -2).copy()
     else:
-        cols = np.take(colors, positions.T, axis=-1)
+        zero = np.subtract(colors, 1, dtype=np.min_scalar_type(step + k - 1), casting="unsafe")
+        cols = np.take(zero, positions.T, axis=-1)
         for p in range(k):
             lo, hi = cols[..., p % 2:k - 1:2, :], cols[..., p % 2 + 1:k:2, :]
             lo[...], hi[...] = np.minimum(lo, hi), np.maximum(lo, hi)
-    ranks = comb_table[0].take(cols[..., 0, :] - 1, mode="clip")
-    for j in range(1, k):
-        ranks += comb_table[j].take(cols[..., j, :] - j - 1, mode="clip")
-    ranks[(cols[..., 1:, :] <= cols[..., :-1, :]).any(axis=-2)] = -1
+    ranks = flat.take(cols[..., 0, :])
+    for r in range(1, k):
+        ranks += flat[r * step:].take(cols[..., r, :])
+    np.copyto(ranks, -1, where=(cols[..., 1:, :] <= cols[..., :-1, :]).any(axis=-2))
     return ranks
 
 

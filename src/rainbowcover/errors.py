@@ -21,8 +21,8 @@ class FamilySizeError(ParameterError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A node budget ran out, or the pair tallies would exceed their fixed
-    size limit, before the computation finished.
+    """A node budget ran out, or the pair tallies' size limit or the exact
+    search's recursion limit would be passed, before the computation finished.
 
     `nodes_explored` is set by the search routines; `refuted_up_to` is the
     largest interval length fully refuted before the budget ran out (only

@@ -30,6 +30,8 @@ tested against.
 
 from __future__ import annotations
 
+import sys
+import traceback
 from dataclasses import dataclass
 from math import comb
 from typing import Optional
@@ -80,8 +82,13 @@ def _search(n: int, k: int, N: int, config: SearchConfig,
     """Core DFS. Returns (colouring or None, nodes visited).
 
     Raises BudgetExceededError when `budget` assignments have been made
-    without settling the instance.
+    without settling the instance, or before searching when rec would recurse
+    past the interpreter's limit: it adds N + 1 frames, and its helpers 3 more.
     """
+    depth = N + 4 + sum(1 for _ in traceback.walk_stack(sys._getframe()))
+    if depth > sys.getrecursionlimit():
+        raise BudgetExceededError(f"interval length {N} needs a search {depth} frames deep, "
+                                  f"over the recursion limit {sys.getrecursionlimit()}")
     total = comb(n, k)
     full = [comb(n - j, k - j) for j in range(k + 1)]
     # The class of each progression lives in a slot of `state`. Slot p < N
@@ -172,8 +179,7 @@ def _search(n: int, k: int, N: int, config: SearchConfig,
         Q = child[P][c] = -1 if mask & bit else class_of(mask | bit)
         return Q
 
-    pruning = not config.oracle_mode
-    early_fill = not config.oracle_mode
+    pruning = early_fill = not config.oracle_mode
 
     empty = class_of(0)
     bound = 0  # sum over the nonempty classes P of min(cnt[P], sup[P])
@@ -321,6 +327,7 @@ def ac_exact(n: int, k: int, config: Optional[SearchConfig] = None) -> ExactResu
             found, nodes = _search(n, k, N, config, budget_left)
         except BudgetExceededError as exc:
             raise BudgetExceededError(
+                str(exc) if exc.nodes_explored is None else  # the depth limit, not the budget
                 f"node budget {config.node_budget} exhausted while deciding N = {N}",
                 nodes_explored=total_nodes + (exc.nodes_explored or 0),
                 refuted_up_to=N - 1) from None

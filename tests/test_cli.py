@@ -302,6 +302,17 @@ class TestExact:
         assert record["refuted_up_to"] == 5
         assert "must be >= 1" not in err
 
+    def test_depth_limit_exit_three(self, capsys):
+        # the DFS recurses once per position, so N = 1100 is past the default
+        # recursion limit of 1000: refused before searching, as a budget error
+        code, out, err = run_cli(capsys, "exact", "--n", "1100", "--k", "1100")
+        assert code == 3
+        record = json.loads(out)
+        assert record["error"] == "budget-exceeded"
+        assert record["refuted_up_to"] == 1099 and record["nodes_explored"] == 0
+        assert "recursion limit" in err and "node budget" not in err
+        assert "Traceback" not in err
+
     def test_large_palette_keeps_no_mask_table(self, capsys):
         # the prefix classes number only the masks reached: nothing is 2^n long
         tracemalloc.start()

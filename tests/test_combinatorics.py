@@ -1,7 +1,9 @@
 import itertools
 import tracemalloc
 from math import comb
+from unittest import mock
 
+import numpy as np
 import pytest
 
 import oracles
@@ -18,6 +20,7 @@ from rainbowcover import (
     subset_unrank,
 )
 from rainbowcover import combinatorics
+from rainbowcover.combinatorics import colex_table, progression_blocks, rainbow_ranks
 
 
 class TestProgression:
@@ -215,6 +218,48 @@ class TestSubsetRanking:
             subset_unrank(-1, 6, 3)
         with pytest.raises(ParameterError):
             subset_unrank(0, 3, 4)
+
+
+BRANCHES = pytest.mark.parametrize("limit", [0, 64], ids=["sort", "network"])
+
+
+class TestRainbowRankOffsets:
+    """rainbow_ranks reads C(c-1, j) at flat offset (j-1)(n-k) + c-1 of colex_table."""
+
+    @BRANCHES
+    @pytest.mark.parametrize("n", [2, 5, 13])
+    def test_n_equals_k_rows_of_one(self, limit, n):
+        table = colex_table(n, n)
+        assert table.shape == (n, 1)
+        positions = np.arange(n)[None, :]
+        with mock.patch.object(combinatorics, "NETWORK_MAX_K", limit):
+            assert rainbow_ranks(np.arange(n, 0, -1), positions, table).tolist() == [0]
+            repeated = np.r_[np.arange(1, n), 1]
+            assert rainbow_ranks(repeated, positions, table).tolist() == [-1]
+
+    @BRANCHES
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    @pytest.mark.parametrize("n, k", [(3, 2), (9, 4), (255, 3), (256, 7), (257, 5), (300, 9)])
+    def test_all_top_colour_ranks_minus_one(self, limit, dtype, n, k):
+        # every gathered index is n-1, the largest: it must stay inside the table
+        N = 3 * k
+        positions = np.concatenate([p for _, _, p in progression_blocks(N, k)])
+        colors = np.full((2, N), n, dtype=dtype)
+        table = colex_table(n, k)
+        with mock.patch.object(combinatorics, "NETWORK_MAX_K", limit):
+            assert (rainbow_ranks(colors, positions, table) == -1).all()
+            assert (rainbow_ranks(colors[0], positions, table) == -1).all()
+
+    @BRANCHES
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    @pytest.mark.parametrize("n", [256, 257])
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_top_subset_ranks_last(self, limit, dtype, n, k):
+        colors = np.arange(1, n + 1, dtype=dtype)
+        positions = np.arange(n - k, n)[None, :]  # colours n-k+1..n
+        with mock.patch.object(combinatorics, "NETWORK_MAX_K", limit):
+            ranks = rainbow_ranks(colors, positions, colex_table(n, k))
+        assert ranks.tolist() == [comb(n, k) - 1]
 
 
 class TestColorSet:

@@ -156,6 +156,40 @@ def test_rainbow_ranks_network_and_sort_match_oracle(case, dtype):
 
 
 @st.composite
+def boundary_palettes(draw):
+    """(n, k, rows): n small or at the edge of the one- and two-byte colour
+    dtypes, each row of one to three using both colour 1 and colour n."""
+    n = draw(st.sampled_from([*range(2, 10), 255, 256, 257, 300]))
+    k = draw(st.integers(2, min(n, 8)))  # C(300, 8) still fits int64
+    N = draw(st.integers(k, 30))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.lists(st.integers(1, n), min_size=N, max_size=N))
+        low, high = draw(st.lists(st.integers(0, N - 1), min_size=2, max_size=2, unique=True))
+        row[low], row[high] = 1, n
+        rows.append(row)
+    return n, k, rows
+
+
+@settings(deadline=None)
+@given(boundary_palettes(), st.sampled_from([np.int16, np.int64]))
+@example((256, 2, [[1, 256]]), np.int16)
+@example((257, 3, [[257, 1, 256, 257, 2]]), np.int64)
+def test_rainbow_ranks_at_dtype_boundaries_match_oracle(case, dtype):
+    n, k, rows = case
+    batch = np.array(rows, dtype=dtype)
+    positions, table = oracle_positions(batch.shape[1], k), colex_table(n, k)
+    expected = [[ColorSet.from_colors([row[p] for p in terms], n).rank
+                 if len({row[p] for p in terms}) == k else -1
+                 for terms in positions.tolist()] for row in rows]
+    for limit in (k, k - 1):  # the network, then np.sort
+        with mock.patch.object(combinatorics, "NETWORK_MAX_K", limit):
+            assert rainbow_ranks(batch, positions, table).tolist() == expected
+            for row, ranks in zip(batch, expected):
+                assert rainbow_ranks(row, positions, table).tolist() == ranks
+
+
+@st.composite
 def estimates(draw):
     """(n, k, N, trials, seed, rng_name) for the estimator, small enough for the oracle."""
     k = draw(st.integers(2, 5))
