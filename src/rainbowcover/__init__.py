@@ -4,28 +4,23 @@ a verifier, a randomized certified builder, probability bounds, and an exact
 minimal-length solver."""
 
 from .combinatorics import (
+    FAMILY_SIZE_LIMIT,
     ColorSet,
     ColorSetView,
     PairIntersectionCounts,
     Progression,
     count_intersecting_pairs,
     count_progressions,
-    enumerate_progressions,
     hi_upper_bounds,
-    subset_rank,
-    subset_unrank,
 )
 from .coverage import (
-    FAMILY_SIZE_LIMIT,
     Coloring,
     CoverageReport,
     VerifyResult,
     covered_family,
     format_coloring,
     parse_coloring_text,
-    rainbow_colors,
     verify_cover,
-    witness,
 )
 from .construct import (
     ConstructParams,

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import BudgetExceededError, ParameterError
+from .errors import BudgetExceededError, FamilySizeError, ParameterError
 
 # Cap on the entries, h*C(k,j)*j, of the largest position-subset gather of
 # count_intersecting_pairs. Each entry is 1-2 bytes, plus an 8-byte sort index
@@ -27,6 +27,11 @@ PAIR_ENTRY_LIMIT = 1 << 25
 # Rows per block of progression_blocks: bounds every gather made from a block,
 # whatever N is. Larger blocks raised peak memory and made no scan faster.
 BLOCK_ROWS = 1 << 14
+
+# Guard for the coverage family, one byte per subset: C(n,k) above this would
+# need more than 4 GiB. It also keeps every colex rank below 2^32, so the
+# int64 ranks of rainbow_ranks never overflow.
+FAMILY_SIZE_LIMIT = 1 << 32
 
 # Largest k rainbow_ranks sorts by its network: beyond, np.sort's k log k beats k^2.
 NETWORK_MAX_K = 16
@@ -56,9 +61,6 @@ class Progression:
         """1-based positions of the terms, ascending."""
         return range(self.start, self.start + self.length * self.diff, self.diff)
 
-    def in_interval(self, N: int) -> bool:
-        return self.last <= N
-
 
 @dataclass(frozen=True)
 class ColorSet:
@@ -66,19 +68,20 @@ class ColorSet:
 
     `rank` is the colex rank of the set among all subsets of its size, a dense
     index in {0, ..., C(n,k)-1}. Colex ranking does not depend on n, so the
-    same rank stays valid when the palette grows.
+    same rank stays valid when the palette grows. The constructors check
+    1 <= k <= n and the coverage-family guard, then rank through rainbow_ranks
+    or unrank through colex_unrank.
     """
 
     mask: int
     rank: int
 
     @classmethod
-    def from_mask(cls, mask: int, n: int, k: int) -> "ColorSet":
-        return cls(mask, subset_rank(mask, n, k))
-
-    @classmethod
     def from_rank(cls, rank: int, n: int, k: int) -> "ColorSet":
-        return cls(subset_unrank(rank, n, k), rank)
+        total = _check_family_size(n, k, least=1)
+        if not 0 <= rank < total:
+            raise ParameterError(f"rank {rank} out of range for C({n},{k}) = {total}")
+        return next(iter(ColorSetView([rank], n, k)))
 
     @classmethod
     def from_colors(cls, colors: Iterable[int], n: int) -> "ColorSet":
@@ -90,7 +93,10 @@ class ColorSet:
             mask |= 1 << (c - 1)
         if mask.bit_count() != len(values):
             raise ParameterError(f"colour list {values} contains duplicates")
-        return cls.from_mask(mask, n, len(values))
+        k = len(values)
+        _check_family_size(n, k, least=1)
+        rank = rainbow_ranks(np.array(values), np.arange(k)[None], colex_table(n, k))[0]
+        return cls(mask, int(rank))
 
     @property
     def colors(self) -> tuple[int, ...]:
@@ -124,12 +130,23 @@ def _check_interval(N: int, k: int) -> None:
         raise ParameterError(f"interval length N must be >= 1, got {N}")
 
 
-def _check_nk(n: int, k: int) -> None:
-    """Require 2 <= k <= n: k = 1 would make a singleton a progression only by convention."""
-    if k < 2:
-        raise ParameterError(f"subset size k must be >= 2, got {k}")
+def _check_nk(n: int, k: int, least: int = 2) -> None:
+    """Require least <= k <= n. Progressions need least = 2: k = 1 would make a
+    singleton a progression only by convention. A ColorSet may hold one colour."""
+    if k < least:
+        raise ParameterError(f"subset size k must be >= {least}, got {k}")
     if k > n:
         raise ParameterError(f"subset size k = {k} exceeds the palette size n = {n}")
+
+
+def _check_family_size(n: int, k: int, least: int = 2) -> int:
+    """C(n, k) after checking least <= k <= n and the coverage-family guard."""
+    _check_nk(n, k, least)
+    total = comb(n, k)
+    if total > FAMILY_SIZE_LIMIT:
+        raise FamilySizeError(
+            f"C({n},{k}) = {total} subsets exceed the coverage-family guard of 2^32")
+    return total
 
 
 def progression_blocks(N: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -158,14 +175,6 @@ def progression_blocks(N: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray,
             lo = hi
 
     return gen()
-
-
-def enumerate_progressions(N: int, k: int) -> Iterator[Progression]:
-    """Yield every k-progression inside [N] exactly once, in the order of
-    progression_blocks."""
-    return (Progression(start, diff, k)
-            for diffs, starts, _ in progression_blocks(N, k)
-            for diff, start in zip(diffs.tolist(), starts.tolist()))
 
 
 def count_progressions(N: int, k: int) -> int:
@@ -331,42 +340,3 @@ class ColorSetView(Sequence):
         """The ascending colours of every entry, by one batch unrank."""
         return colex_unrank(self.ranks, colex_table(self.n, self.k)).tolist()
 
-
-def _check_subset_params(n: int, k: int) -> None:
-    if n < 1 or k < 1 or k > n:
-        raise ParameterError(f"need 1 <= k <= n, got n={n} k={k}")
-
-
-def subset_rank(mask: int, n: int, k: int) -> int:
-    """Colex rank of a k-subset of [n] given as a bitmask.
-
-    For S = {c_1 < ... < c_k} the rank is sum_j C(c_j - 1, j), a bijection
-    onto {0, ..., C(n,k)-1}.
-    """
-    _check_subset_params(n, k)
-    if mask <= 0 or mask >> n:
-        raise ParameterError(f"mask {bin(mask)} is not a nonempty subset of [{n}]")
-    if mask.bit_count() != k:
-        raise ParameterError(f"mask has {mask.bit_count()} elements, expected k={k}")
-    rank = 0
-    for j in range(1, k + 1):
-        rank += comb((mask & -mask).bit_length() - 1, j)
-        mask &= mask - 1
-    return rank
-
-
-def subset_unrank(rank: int, n: int, k: int) -> int:
-    """Inverse of subset_rank: bitmask of the k-subset of [n] with this rank."""
-    _check_subset_params(n, k)
-    if not 0 <= rank < comb(n, k):
-        raise ParameterError(f"rank {rank} out of range for C({n},{k}) = {comb(n, k)}")
-    mask = 0
-    r = rank
-    c = n
-    for j in range(k, 0, -1):
-        while comb(c - 1, j) > r:
-            c -= 1
-        mask |= 1 << (c - 1)
-        r -= comb(c - 1, j)
-        c -= 1
-    return mask

@@ -23,26 +23,23 @@ import numpy as np
 
 from .combinatorics import (
     ColorSetView,
+    _check_family_size,
     _check_nk,
     colex_table,
     progression_blocks,
     rainbow_ranks,
 )
-from .coverage import Coloring, _check_family_size
+from .coverage import Coloring
 from .errors import ParameterError, RoundsExhaustedError
 
 _BIT_GENERATORS = {"philox": np.random.Philox, "pcg64": np.random.PCG64}
 _LOG = {"e": math.log, "2": math.log2, "10": math.log10}
 
 
-def _check_log_base(log_base: str) -> None:
-    if log_base not in _LOG:
-        raise ParameterError(f"log base must be one of {sorted(_LOG)}, got {log_base!r}")
-
-
 def min_alpha(log_base: str = "e") -> float:
     """Smallest admissible round multiplier, 1/log(2) in the chosen base."""
-    _check_log_base(log_base)
+    if log_base not in _LOG:
+        raise ParameterError(f"log base must be one of {sorted(_LOG)}, got {log_base!r}")
     return 1.0 / _LOG[log_base](2)
 
 
@@ -106,7 +103,6 @@ def rounds(n: int, k: int, alpha: float, log_base: str = "e",
     the violation to a warning for exploratory runs; a non-finite alpha is
     refused even then.
     """
-    _check_log_base(log_base)
     _check_nk(n, k)
     message = _check_alpha(alpha, log_base, force)
     if message:

@@ -16,21 +16,14 @@ from typing import Optional
 import numpy as np
 
 from .combinatorics import (
-    ColorSet,
     ColorSetView,
     Progression,
-    _check_nk,
+    _check_family_size,
     colex_table,
-    colex_unrank,
     progression_blocks,
     rainbow_ranks,
 )
-from .errors import ColoringFormatError, FamilySizeError, ParameterError
-
-# Guard for the coverage family, one byte per subset: C(n,k) above this would
-# need more than 4 GiB. It also keeps every colex rank below 2^32, so the
-# int64 ranks of rainbow_ranks never overflow.
-FAMILY_SIZE_LIMIT = 1 << 32
+from .errors import ColoringFormatError, ParameterError
 
 _TOKEN = re.compile(r"\S+")
 
@@ -81,42 +74,12 @@ class CoverageReport:
     def total(self) -> int:
         return comb(self.n, self.k)
 
-    def is_covered(self, rank: int) -> bool:
-        return 0 <= rank < len(self.covered) and bool(self.covered[rank])
-
-    def uncovered_ranks(self) -> list[int]:
-        return np.flatnonzero(~self.covered).tolist()
-
 
 @dataclass
 class VerifyResult:
     complete: bool
     uncovered: ColorSetView
     report: CoverageReport
-
-
-def rainbow_colors(coloring: Coloring, prog: Progression) -> Optional[ColorSet]:
-    """Colour set of prog when its colours are pairwise distinct, else None."""
-    if prog.last > coloring.N:
-        raise ParameterError(
-            f"progression ends at {prog.last}, outside the domain [{coloring.N}]")
-    n, k = coloring.n, prog.length
-    if k > n:
-        return None  # k terms cannot carry k distinct colours out of n < k
-    _check_family_size(n, k)
-    positions = np.array([prog.positions()]) - 1
-    rank = int(rainbow_ranks(np.array(coloring.colors), positions, colex_table(n, k))[0])
-    return ColorSet.from_rank(rank, n, k) if rank >= 0 else None
-
-
-def _check_family_size(n: int, k: int) -> int:
-    """C(n, k) after checking 2 <= k <= n and the coverage-family guard."""
-    _check_nk(n, k)
-    total = comb(n, k)
-    if total > FAMILY_SIZE_LIMIT:
-        raise FamilySizeError(
-            f"C({n},{k}) = {total} subsets exceed the coverage-family guard of 2^32")
-    return total
 
 
 def covered_family(coloring: Coloring, k: int,
@@ -162,23 +125,6 @@ def verify_cover(coloring: Coloring, n: int, k: int,
     report = covered_family(coloring, k, record_witnesses)
     uncovered = ColorSetView(np.flatnonzero(~report.covered), n, k)
     return VerifyResult(not uncovered, uncovered, report)
-
-
-def witness(coloring: Coloring, R: ColorSet, k: Optional[int] = None) -> Optional[Progression]:
-    """First progression in enumeration order carrying exactly the colours of R."""
-    size = R.mask.bit_count()
-    if k is not None and k != size:
-        raise ParameterError(f"subset has {size} colours, expected k={k}")
-    if R.mask >> coloring.n:
-        raise ParameterError("subset uses colours outside the palette")
-    _check_family_size(coloring.n, size)
-    colors = np.array(coloring.colors)
-    table = colex_table(coloring.n, size)
-    for diffs, starts, positions in progression_blocks(coloring.N, size):
-        hits = np.flatnonzero(rainbow_ranks(colors, positions, table) == R.rank)
-        if hits.size:
-            return Progression(int(starts[hits[0]]), int(diffs[hits[0]]), size)
-    return None
 
 
 def parse_coloring_text(text: str) -> list[int]:
@@ -235,8 +181,8 @@ def coverage_report_dict(coloring: Coloring, result: VerifyResult) -> dict:
     }
     if report.witnesses is not None:
         ranks = sorted(report.witnesses)
-        keys = colex_unrank(np.array(ranks, dtype=np.int64), colex_table(report.n, report.k))
+        keys = ColorSetView(np.array(ranks, dtype=np.int64), report.n, report.k).colors()
         out["witnesses"] = {
             ",".join(map(str, colors)): {"start": p.start, "diff": p.diff, "length": p.length}
-            for colors, p in zip(keys.tolist(), map(report.witnesses.get, ranks))}
+            for colors, p in zip(keys, map(report.witnesses.get, ranks))}
     return out

@@ -23,9 +23,10 @@ incrementally with an undo list per assignment. Two accelerations:
 * symmetry breaking: colour classes are interchangeable, so the first
   occurrence of colour c is forced before the first occurrence of colour c+1.
 
-Oracle mode disables both (and the early fill-in on success) and checks only
-full-length colourings, as an auditable reference that the pruned search is
-tested against.
+Oracle mode runs a separate plain exhaustive DFS instead: every colour at
+every position, no prune, no symmetry breaking and no early fill-in, and a
+cover accepted only at full length. It keeps only the set of covered colour
+masks, as an auditable reference that the pruned search is tested against.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from typing import Optional
 
 import numpy as np
 
-from .combinatorics import _check_interval, progression_blocks
-from .coverage import Coloring, _check_family_size, verify_cover
+from .combinatorics import _check_family_size, _check_interval, progression_blocks
+from .coverage import Coloring, verify_cover
 from .bounds import lower_bound_N
 from .errors import BudgetExceededError, ParameterError
 
@@ -77,18 +78,24 @@ def _split(items: list, at: np.ndarray, N: int) -> list[list]:
     return [items[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _search(n: int, k: int, N: int, config: SearchConfig,
-            budget: int) -> tuple[Optional[tuple[int, ...]], int]:
-    """Core DFS. Returns (colouring or None, nodes visited).
-
-    Raises BudgetExceededError when `budget` assignments have been made
-    without settling the instance, or before searching when rec would recurse
-    past the interpreter's limit: it adds N + 1 frames, and its helpers 3 more.
-    """
-    depth = N + 4 + sum(1 for _ in traceback.walk_stack(sys._getframe()))
+def _check_depth(N: int) -> None:
+    """Raise BudgetExceededError when a search of [N] started by the caller
+    would recurse past the interpreter's limit: its rec adds N + 1 frames to
+    the caller's stack, and the pruned search's helpers 3 more."""
+    depth = N + 4 + sum(1 for _ in traceback.walk_stack(sys._getframe(1)))
     if depth > sys.getrecursionlimit():
         raise BudgetExceededError(f"interval length {N} needs a search {depth} frames deep, "
                                   f"over the recursion limit {sys.getrecursionlimit()}")
+
+
+def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ...]], int]:
+    """Core DFS. Returns (colouring or None, nodes visited).
+
+    Raises BudgetExceededError when `budget` assignments have been made
+    without settling the instance, or before searching when it would recurse
+    too deep (_check_depth).
+    """
+    _check_depth(N)
     total = comb(n, k)
     full = [comb(n - j, k - j) for j in range(k + 1)]
     # The class of each progression lives in a slot of `state`. Slot p < N
@@ -179,8 +186,6 @@ def _search(n: int, k: int, N: int, config: SearchConfig,
         Q = child[P][c] = -1 if mask & bit else class_of(mask | bit)
         return Q
 
-    pruning = early_fill = not config.oracle_mode
-
     empty = class_of(0)
     bound = 0  # sum over the nonempty classes P of min(cnt[P], sup[P])
     colors = [0] * N
@@ -188,13 +193,11 @@ def _search(n: int, k: int, N: int, config: SearchConfig,
 
     def rec(i: int, count: int, used_max: int) -> Optional[tuple[int, ...]]:
         nonlocal nodes, bound
-        if early_fill and count == total:
+        if count == total:
             return tuple(colors[:i]) + (1,) * (N - i)
-        if i == N:
-            return tuple(colors) if count == total else None
-        if pruning and count + bound + unstarted[i] < total:
+        if i == N or count + bound + unstarted[i] < total:
             return None
-        top = min(used_max + 1, n) if pruning else n
+        top = min(used_max + 1, n)
         s = starts[i]
         for c in range(1, top + 1):
             nodes += 1
@@ -214,11 +217,10 @@ def _search(n: int, k: int, N: int, config: SearchConfig,
                 if single is None:
                     single = nxt(empty, c)
                 state[i] = single
-                if pruning:
-                    m, u = cnt[single], sup[single]
-                    cnt[single] = m + s
-                    if m < u:
-                        bound += min(s, u - m)
+                m, u = cnt[single], sup[single]
+                cnt[single] = m + s
+                if m < u:
+                    bound += min(s, u - m)
             moved = []
             for a, b in through[i]:
                 P = state[a]
@@ -229,28 +231,26 @@ def _search(n: int, k: int, N: int, config: SearchConfig,
                 if Q is None:
                     Q = nxt(P, c)
                 state[b] = Q
-                if pruning:
-                    m = cnt[P]
-                    cnt[P] = m - 1
-                    if m <= sup[P]:
-                        bound -= 1
-                    if Q >= 0:
-                        m = cnt[Q]
-                        cnt[Q] = m + 1
-                        if m < sup[Q]:
-                            bound += 1
+                m = cnt[P]
+                cnt[P] = m - 1
+                if m <= sup[P]:
+                    bound -= 1
+                if Q >= 0:
+                    m = cnt[Q]
+                    cnt[Q] = m + 1
+                    if m < sup[Q]:
+                        bound += 1
             ended = []
             newly = []
             for a in ending[i]:
                 P = state[a]
                 if P < 0:
                     continue
-                if pruning:
-                    ended.append(P)
-                    m = cnt[P]
-                    cnt[P] = m - 1
-                    if m <= sup[P]:
-                        bound -= 1
+                ended.append(P)
+                m = cnt[P]
+                cnt[P] = m - 1
+                if m <= sup[P]:
+                    bound -= 1
                 R = child[P][c]
                 if R is None:
                     R = nxt(P, c)
@@ -258,30 +258,28 @@ def _search(n: int, k: int, N: int, config: SearchConfig,
                     continue
                 covered.add(R)
                 newly.append(R)
-                if pruning:  # each class inside R loses R from its uncovered supersets
-                    for S in subsets[R] or subsets_of(R):
-                        m = sup[S]
-                        sup[S] = m - 1
-                        if cnt[S] >= m:
-                            bound -= 1
+                # each class inside R loses R from its uncovered supersets
+                for S in subsets[R] or subsets_of(R):
+                    m = sup[S]
+                    sup[S] = m - 1
+                    if cnt[S] >= m:
+                        bound -= 1
             found = rec(i + 1, count + len(newly), c if c > used_max else used_max)
             if found is not None:
                 return found
             for R in newly:
                 covered.discard(R)
-                if pruning:
-                    for S in subsets[R] or subsets_of(R):
-                        sup[S] += 1
+                for S in subsets[R] or subsets_of(R):
+                    sup[S] += 1
             for P in ended:
                 cnt[P] += 1
             for b, P in moved:
-                if pruning:
-                    Q = state[b]
-                    if Q >= 0:
-                        cnt[Q] -= 1
-                    cnt[P] += 1
+                Q = state[b]
+                if Q >= 0:
+                    cnt[Q] -= 1
+                cnt[P] += 1
                 state[b] = P
-            if pruning and s:
+            if s:
                 cnt[single] -= s
             bound = saved
         colors[i] = 0
@@ -289,6 +287,49 @@ def _search(n: int, k: int, N: int, config: SearchConfig,
 
     found = rec(0, 0, 0)
     return found, nodes
+
+
+def _oracle_search(n: int, k: int, N: int,
+                   budget: int) -> tuple[Optional[tuple[int, ...]], int]:
+    """Plain exhaustive DFS with the result, budget and depth check of _search:
+    every colour at every position, one node per assignment, and a cover
+    accepted only at full length, so the lexicographically first is found."""
+    _check_depth(N)
+    total = comb(n, k)
+    ending: list[list[list[int]]] = [[] for _ in range(N)]  # terms by last term
+    for _, _, positions in progression_blocks(N, k):
+        for terms in positions.tolist():
+            ending[terms[-1]].append(terms)
+    colors = [0] * N
+    covered: set[int] = set()  # colour masks of the covered k-sets
+    nodes = 0
+
+    def rec(i: int) -> Optional[tuple[int, ...]]:
+        nonlocal nodes
+        if i == N:
+            return tuple(colors) if len(covered) == total else None
+        for c in range(1, n + 1):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(
+                    f"node budget {budget} exhausted at interval length {N}",
+                    nodes_explored=nodes)
+            colors[i] = c
+            newly = []
+            for terms in ending[i]:
+                mask = 0
+                for p in terms:
+                    mask |= 1 << colors[p]
+                if mask.bit_count() == k and mask not in covered:
+                    covered.add(mask)
+                    newly.append(mask)
+            found = rec(i + 1)
+            if found is not None:
+                return found
+            covered.difference_update(newly)
+        return None
+
+    return rec(0), nodes
 
 
 def exists_cover(n: int, k: int, N: int,
@@ -302,7 +343,8 @@ def exists_cover(n: int, k: int, N: int,
     _check_family_size(n, k)
     _check_interval(N, k)
     config = config or SearchConfig()
-    found, _ = _search(n, k, N, config, config.node_budget)
+    search = _oracle_search if config.oracle_mode else _search
+    found, _ = search(n, k, N, config.node_budget)
     return Coloring(found, n) if found is not None else None
 
 
@@ -315,6 +357,7 @@ def ac_exact(n: int, k: int, config: Optional[SearchConfig] = None) -> ExactResu
     """
     _check_family_size(n, k)
     config = config or SearchConfig()
+    search = _oracle_search if config.oracle_mode else _search
     N = lower_bound_N(n, k)
     budget_left = config.node_budget
     total_nodes = 0
@@ -324,7 +367,7 @@ def ac_exact(n: int, k: int, config: Optional[SearchConfig] = None) -> ExactResu
                 f"no cover found up to max_N = {config.max_N}",
                 nodes_explored=total_nodes, refuted_up_to=N - 1)
         try:
-            found, nodes = _search(n, k, N, config, budget_left)
+            found, nodes = search(n, k, N, budget_left)
         except BudgetExceededError as exc:
             raise BudgetExceededError(
                 str(exc) if exc.nodes_explored is None else  # the depth limit, not the budget

@@ -1,13 +1,16 @@
 """Brute-force reference implementations used to check the library.
 
 Everything here is deliberately independent of the package internals: plain
-scans, membership tests, and exact Fractions, no bitmasks and no ranking.
+scans, membership tests, exact Fractions, and a scalar colex rank and unrank
+of colour tuples, one binomial at a time, where the package ranks in batches
+through its comb table.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 
 def progression_terms(start: int, diff: int, k: int) -> tuple[int, ...]:
@@ -56,6 +59,25 @@ def first_witnesses(colors: tuple[int, ...], k: int) -> dict[frozenset[int], tup
         if len(set(values)) == k:
             first.setdefault(frozenset(values), (start, diff))
     return first
+
+
+def subset_rank(colors) -> int:
+    """Colex rank of a set of distinct colours c_1 < ... < c_k: sum_j C(c_j - 1, j),
+    a bijection from the k-subsets of [n] onto {0, ..., C(n,k)-1} for every n."""
+    return sum(comb(c - 1, j) for j, c in enumerate(sorted(colors), start=1))
+
+
+def subset_unrank(rank: int, k: int) -> tuple[int, ...]:
+    """Inverse of subset_rank: the ascending colours of the k-set with this rank.
+    For j = k, ..., 1 in turn, c_j is the largest c with C(c-1, j) <= what is left."""
+    colors = []
+    for j in range(k, 0, -1):
+        c = j
+        while comb(c, j) <= rank:
+            c += 1
+        rank -= comb(c - 1, j)
+        colors.append(c)
+    return tuple(reversed(colors))
 
 
 def all_subsets(n: int, k: int) -> list[frozenset[int]]:

@@ -26,11 +26,11 @@ from rainbowcover import (
     exists_cover,
     hi_upper_bounds,
     lower_bound_N,
-    rainbow_colors,
     rounds,
     upper_bound_length,
     verify_cover,
 )
+from rainbowcover.combinatorics import colex_table, rainbow_ranks
 
 GOLDEN = (4, 6, 5, 1, 3, 4, 2, 5, 6, 3, 1, 4)
 
@@ -79,9 +79,10 @@ def test_criterion_3_golden_twelve_term_sequence():
         (Progression(1, 4, 3), (3, 4, 6)),
         (Progression(7, 1, 3), (2, 5, 6)),
     ]
-    for prog, expected in highlighted:
-        got = rainbow_colors(coloring, prog)
-        assert got is not None and got.colors == expected, (prog, expected)
+    positions = np.array([prog.positions() for prog, _ in highlighted]) - 1
+    ranks = rainbow_ranks(np.array(GOLDEN), positions, colex_table(6, 3)).tolist()
+    for rank, (prog, expected) in zip(ranks, highlighted):
+        assert rank >= 0 and ColorSet.from_rank(rank, 6, 3).colors == expected, (prog, expected)
 
     # full-coverage claim, cross-checked against the independent oracle; the
     # sequence lists 12 values and is used as written (not padded to 14)
@@ -89,7 +90,7 @@ def test_criterion_3_golden_twelve_term_sequence():
     oracle_covered = oracles.covered_sets(GOLDEN, 3)
     library_covered = {
         frozenset(ColorSet.from_rank(r, 6, 3).colors)
-        for r in range(result.report.total) if result.report.is_covered(r)
+        for r in np.flatnonzero(result.report.covered).tolist()
     }
     assert library_covered == oracle_covered
     assert result.complete == (len(oracle_covered) == 20)

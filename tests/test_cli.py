@@ -302,10 +302,11 @@ class TestExact:
         assert record["refuted_up_to"] == 5
         assert "must be >= 1" not in err
 
-    def test_depth_limit_exit_three(self, capsys):
-        # the DFS recurses once per position, so N = 1100 is past the default
+    @pytest.mark.parametrize("mode", [[], ["--oracle"]], ids=["pruned", "oracle"])
+    def test_depth_limit_exit_three(self, capsys, mode):
+        # both searches recurse once per position, so N = 1100 is past the default
         # recursion limit of 1000: refused before searching, as a budget error
-        code, out, err = run_cli(capsys, "exact", "--n", "1100", "--k", "1100")
+        code, out, err = run_cli(capsys, "exact", "--n", "1100", "--k", "1100", *mode)
         assert code == 3
         record = json.loads(out)
         assert record["error"] == "budget-exceeded"

@@ -10,17 +10,26 @@ import oracles
 from rainbowcover import (
     BudgetExceededError,
     ColorSet,
+    FamilySizeError,
     ParameterError,
     Progression,
     count_intersecting_pairs,
     count_progressions,
-    enumerate_progressions,
     hi_upper_bounds,
-    subset_rank,
-    subset_unrank,
 )
 from rainbowcover import combinatorics
-from rainbowcover.combinatorics import colex_table, progression_blocks, rainbow_ranks
+from rainbowcover.combinatorics import (
+    colex_table,
+    colex_unrank,
+    progression_blocks,
+    rainbow_ranks,
+)
+
+
+def progression_list(N, k):
+    """(start, diff) of every k-progression of [N], in progression_blocks order."""
+    return [(s, d) for diffs, starts, _ in progression_blocks(N, k)
+            for d, s in zip(diffs.tolist(), starts.tolist())]
 
 
 class TestProgression:
@@ -28,7 +37,6 @@ class TestProgression:
         prog = Progression(4, 3, 3)
         assert list(prog.positions()) == [4, 7, 10]
         assert prog.last == 10
-        assert prog.in_interval(10) and not prog.in_interval(9)
 
     @pytest.mark.parametrize("start,diff,length", [(0, 1, 3), (1, 0, 3), (1, 1, 1)])
     def test_invalid_fields(self, start, diff, length):
@@ -39,20 +47,19 @@ class TestProgression:
 class TestEnumerate:
     def test_five_three(self):
         # frozen from the brute-force (start, diff) scan
-        got = [(p.start, p.diff) for p in enumerate_progressions(5, 3)]
-        assert got == [(1, 1), (2, 1), (3, 1), (1, 2)]
-        assert [tuple(p.positions()) for p in enumerate_progressions(5, 3)] == [
-            (1, 2, 3), (2, 3, 4), (3, 4, 5), (1, 3, 5)]
+        assert progression_list(5, 3) == [(1, 1), (2, 1), (3, 1), (1, 2)]
+        positions = np.concatenate([p for _, _, p in progression_blocks(5, 3)])
+        assert (positions + 1).tolist() == [[1, 2, 3], [2, 3, 4], [3, 4, 5], [1, 3, 5]]
 
     def test_too_short_interval_is_empty(self):
-        assert list(enumerate_progressions(3, 4)) == []
+        assert progression_list(3, 4) == []
 
     def test_twelve_three_count(self):
-        assert len(list(enumerate_progressions(12, 3))) == 30
+        assert len(progression_list(12, 3)) == 30
 
     def test_order_is_diff_then_start(self):
         for N, k in [(11, 2), (17, 3), (20, 4)]:
-            pairs = [(p.diff, p.start) for p in enumerate_progressions(N, k)]
+            pairs = [(d, s) for s, d in progression_list(N, k)]
             assert pairs == sorted(pairs)
             assert len(pairs) == len(set(pairs))
 
@@ -60,14 +67,13 @@ class TestEnumerate:
         for k in range(2, 7):
             for N in range(1, 31):
                 expected = oracles.progressions(N, k)
-                got = [(p.start, p.diff) for p in enumerate_progressions(N, k)]
-                assert got == expected, (N, k)
+                assert progression_list(N, k) == expected, (N, k)
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
-            enumerate_progressions(5, 1)
+            progression_blocks(5, 1)
         with pytest.raises(ParameterError):
-            enumerate_progressions(0, 3)
+            progression_blocks(0, 3)
 
 
 class TestCountProgressions:
@@ -82,7 +88,7 @@ class TestCountProgressions:
     def test_closed_form_equals_enumeration(self):
         for k in range(2, 7):
             for N in range(1, 61):
-                assert count_progressions(N, k) == len(list(enumerate_progressions(N, k)))
+                assert count_progressions(N, k) == len(progression_list(N, k))
 
     def test_big_interval_no_overflow(self):
         # k=2 progressions are position pairs, so the count is C(N,2)
@@ -171,53 +177,54 @@ class TestHiUpperBounds:
 
 
 class TestSubsetRanking:
+    """ColorSet ranks and unranks through the batch kernels, checked against
+    the scalar colex rank and unrank of the oracles."""
+
     def test_colex_extremes(self):
         for n in range(2, 10):
             for k in range(1, n + 1):
-                low = (1 << k) - 1
-                high = ((1 << k) - 1) << (n - k)
-                assert subset_rank(low, n, k) == 0
-                assert subset_rank(high, n, k) == comb(n, k) - 1
+                low, high = range(1, k + 1), range(n - k + 1, n + 1)
+                assert ColorSet.from_colors(low, n).rank == 0
+                assert ColorSet.from_colors(high, n).rank == comb(n, k) - 1
+                assert ColorSet.from_rank(0, n, k).colors == tuple(low)
+                assert ColorSet.from_rank(comb(n, k) - 1, n, k).colors == tuple(high)
 
     def test_round_trip_eight_three(self):
         seen = set()
         for rank in range(comb(8, 3)):
-            mask = subset_unrank(rank, 8, 3)
-            assert subset_rank(mask, 8, 3) == rank
-            seen.add(mask)
+            cs = ColorSet.from_rank(rank, 8, 3)
+            assert ColorSet.from_colors(cs.colors, 8) == cs
+            assert cs.colors == oracles.subset_unrank(rank, 3)
+            seen.add(cs.mask)
         assert len(seen) == 56
 
     def test_bijection_up_to_sixteen(self):
         for n in range(1, 17):
             for k in range(1, n + 1):
-                ranks = set()
-                for combo in itertools.combinations(range(1, n + 1), k):
-                    mask = 0
-                    for c in combo:
-                        mask |= 1 << (c - 1)
-                    rank = subset_rank(mask, n, k)
-                    assert 0 <= rank < comb(n, k)
-                    assert subset_unrank(rank, n, k) == mask
-                    ranks.add(rank)
-                assert len(ranks) == comb(n, k)
+                combos = np.array(list(itertools.combinations(range(1, n + 1), k)))
+                table = colex_table(n, k)
+                ranks = rainbow_ranks(np.arange(1, n + 1), combos - 1, table)
+                assert ranks.tolist() == [oracles.subset_rank(c) for c in combos.tolist()]
+                assert sorted(ranks.tolist()) == list(range(comb(n, k)))
+                assert np.array_equal(colex_unrank(ranks, table), combos)
 
     def test_rank_independent_of_n(self):
-        mask = 0b10110  # {2, 3, 5}
-        assert subset_rank(mask, 5, 3) == subset_rank(mask, 16, 3)
+        assert ColorSet.from_colors([2, 3, 5], 5) == ColorSet.from_colors([2, 3, 5], 16)
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
-            subset_rank(0b111, 6, 2)  # popcount mismatch
+            ColorSet.from_colors([], 6)
         with pytest.raises(ParameterError):
-            subset_rank(0, 6, 2)
+            ColorSet.from_rank(comb(6, 3), 6, 3)
         with pytest.raises(ParameterError):
-            subset_rank(1 << 6, 6, 1)  # colour 7 outside [6]
+            ColorSet.from_rank(-1, 6, 3)
         with pytest.raises(ParameterError):
-            subset_unrank(comb(6, 3), 6, 3)
-        with pytest.raises(ParameterError):
-            subset_unrank(-1, 6, 3)
-        with pytest.raises(ParameterError):
-            subset_unrank(0, 3, 4)
+            ColorSet.from_rank(0, 3, 4)
+        # past the coverage-family guard, before any comb table is built
+        with pytest.raises(FamilySizeError):
+            ColorSet.from_rank(0, 200, 100)
+        with pytest.raises(FamilySizeError):
+            ColorSet.from_colors(range(1, 101), 200)
 
 
 BRANCHES = pytest.mark.parametrize("limit", [0, 64], ids=["sort", "network"])

@@ -15,7 +15,7 @@ from rainbowcover import (
     lower_bound_N,
     verify_cover,
 )
-from rainbowcover.exact import _search
+from rainbowcover.exact import _oracle_search, _search
 
 ORACLE = SearchConfig(oracle_mode=True)
 
@@ -54,6 +54,14 @@ class TestExistsCover:
         # colour, the one triple avoiding that colour stays uncovered
         assert exists_cover(4, 3, 5) is None
         assert exists_cover(4, 3, 5, ORACLE) is None
+
+    def test_oracle_visits_the_full_tree(self):
+        # every colour at every position, and a cover accepted only at full
+        # length: refuting [5] takes 4 + 4^2 + ... + 4^5 nodes
+        assert _oracle_search(4, 3, 5, 10**6) == (None, sum(4**i for i in range(1, 6)))
+        result = ac_exact(4, 3, ORACLE)
+        assert (result.value, result.nodes_explored, result.witness.colors) == (
+            6, 1512, (1, 1, 2, 3, 4, 1))
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_identity_pairs(self, n):
@@ -183,7 +191,7 @@ def small_instances(draw):
 @example((4, 4, 13))
 def test_search_matches_prefix_bound_oracle(case):
     n, k, N = case
-    assert _search(n, k, N, SearchConfig(), 10**6) == oracles.prefix_bound_search(n, k, N)
+    assert _search(n, k, N, 10**6) == oracles.prefix_bound_search(n, k, N)
     if n**N <= 2**16:
         assert (exists_cover(n, k, N) is None) == (exists_cover(n, k, N, ORACLE) is None)
 

@@ -15,15 +15,14 @@ from hypothesis import strategies as st
 
 import oracles
 from rainbowcover import (
+    FAMILY_SIZE_LIMIT,
     ColorSet,
     Coloring,
     count_intersecting_pairs,
     covered_family,
     estimate_cover_probability,
     make_rng,
-    subset_unrank,
     verify_cover,
-    witness,
 )
 from rainbowcover import combinatorics
 from rainbowcover.combinatorics import (
@@ -35,7 +34,7 @@ from rainbowcover.combinatorics import (
     progression_blocks,
     rainbow_ranks,
 )
-from rainbowcover.coverage import FAMILY_SIZE_LIMIT, coverage_report_dict
+from rainbowcover.coverage import coverage_report_dict
 
 
 @st.composite
@@ -56,8 +55,13 @@ def oracle_positions(N, k):
 
 def witness_pairs(report):
     """Recorded witnesses as colour set -> (start, diff)."""
-    return {frozenset(ColorSet.from_rank(r, report.n, report.k).colors): (p.start, p.diff)
+    return {frozenset(oracles.subset_unrank(r, report.k)): (p.start, p.diff)
             for r, p in report.witnesses.items()}
+
+
+def oracle_color_set(rank, k):
+    """The ColorSet of a colex rank, unranked by the scalar oracle."""
+    return ColorSet(sum(1 << (c - 1) for c in oracles.subset_unrank(rank, k)), rank)
 
 
 @settings(deadline=None)
@@ -96,7 +100,7 @@ def test_rainbow_ranks_match_oracle(case):
         if len(values) < k:
             assert rank == -1
         else:
-            assert set(ColorSet.from_rank(rank, n, k).colors) == values
+            assert set(oracles.subset_unrank(rank, k)) == values
 
 
 @st.composite
@@ -144,7 +148,7 @@ def test_rainbow_ranks_network_and_sort_match_oracle(case, dtype):
     n, k, rows = case
     batch = np.array(rows, dtype=dtype)
     positions, table = oracle_positions(batch.shape[1], k), colex_table(n, k)
-    expected = [[ColorSet.from_colors(sorted(row[p] for p in terms), n).rank
+    expected = [[oracles.subset_rank(row[p] for p in terms)
                  if len({row[p] for p in terms}) == k else -1
                  for terms in positions.tolist()] for row in rows]
     # force each sort in turn: the network for every k, then np.sort for every k
@@ -179,7 +183,7 @@ def test_rainbow_ranks_at_dtype_boundaries_match_oracle(case, dtype):
     n, k, rows = case
     batch = np.array(rows, dtype=dtype)
     positions, table = oracle_positions(batch.shape[1], k), colex_table(n, k)
-    expected = [[ColorSet.from_colors([row[p] for p in terms], n).rank
+    expected = [[oracles.subset_rank(row[p] for p in terms)
                  if len({row[p] for p in terms}) == k else -1
                  for terms in positions.tolist()] for row in rows]
     for limit in (k, k - 1):  # the network, then np.sort
@@ -228,10 +232,10 @@ def test_covered_family_and_witnesses_match_oracle(case):
 @given(colourings())
 def test_witness_is_first_in_enumeration_order(case):
     n, k, colors = case
-    coloring = Coloring(colors, n)
+    witnesses = covered_family(Coloring(colors, n), k, record_witnesses=True).witnesses
     first = oracles.first_witnesses(colors, k)
     for subset in oracles.all_subsets(n, k):
-        prog = witness(coloring, ColorSet.from_colors(sorted(subset), n), k)
+        prog = witnesses.get(ColorSet.from_colors(sorted(subset), n).rank)
         assert (None if prog is None else (prog.start, prog.diff)) == first.get(subset)
 
 
@@ -269,9 +273,9 @@ def test_colex_unrank_matches_subset_unrank(case):
     colors = colex_unrank(np.array(ranks, dtype=np.int64), table)
     assert colors.shape == (len(ranks), k)
     for rank, row in zip(ranks, colors.tolist()):
-        assert sum(1 << (c - 1) for c in row) == subset_unrank(rank, n, k)
+        assert tuple(row) == oracles.subset_unrank(rank, k)
     assert rainbow_ranks(np.arange(1, n + 1), colors - 1, table).tolist() == ranks
-    expected = [ColorSet.from_rank(r, n, k) for r in ranks]
+    expected = [oracle_color_set(r, k) for r in ranks]
     assert ColorSetView(np.array(ranks, dtype=np.int64), n, k) == expected
 
 
@@ -281,7 +285,7 @@ def test_colex_unrank_matches_subset_unrank(case):
 @example((120, 3, [0, 1000, comb(120, 3) - 1]))
 def test_color_set_view_matches_from_rank(case):
     n, k, ranks = case
-    expected = [ColorSet.from_rank(r, n, k) for r in ranks]
+    expected = [oracle_color_set(r, k) for r in ranks]
     view = ColorSetView(np.array(ranks, dtype=np.int64), n, k)
     assert len(view) == len(expected) and view
     assert [view[i] for i in range(-len(view), len(view))] == expected + expected
@@ -311,9 +315,9 @@ def test_uncovered_list_across_blocks():
     # 54461 uncovered subsets span four unrank blocks and need masks over 63 bits
     coloring = Coloring(tuple((7 * i * i + 3 * i) % 70 + 1 for i in range(60)), 70)
     result = verify_cover(coloring, 70, 3, record_witnesses=True)
-    ranks = result.report.uncovered_ranks()
+    ranks = np.flatnonzero(~result.report.covered).tolist()
     assert len(ranks) == 54461 and len(ranks) > 3 * BLOCK_ROWS
-    assert result.uncovered == [ColorSet.from_rank(r, 70, 3) for r in ranks]
+    assert result.uncovered == [oracle_color_set(r, 3) for r in ranks]
     assert len(result.report.witnesses) == 279
     # digest of the report computed before the uncovered list was batch-unranked
     text = json.dumps(coverage_report_dict(coloring, result), sort_keys=True,
