@@ -34,11 +34,10 @@ from .combinatorics import (
     count_intersecting_pairs,
     count_progressions,
     hi_upper_bounds,
-    progression_blocks,
     rainbow_ranks,
 )
 from .construct import block_length, make_rng, rounds
-from .errors import ParameterError
+from .errors import BudgetExceededError, ParameterError
 
 PAIR_MODES = ("exact-pairs", "bounded-pairs")
 
@@ -46,8 +45,10 @@ PAIR_MODES = ("exact-pairs", "bounded-pairs")
 # identical draw sequence regardless of the trial count.
 _CHUNK = 4096
 
-# Gathered int16 entries per sub-batch of a chunk, so memory stays bounded in h.
-_GATHER_ENTRIES = 1 << 20
+# Row entries (rows x N) per sub-batch of a chunk, so memory stays bounded in N;
+# int16 entries a chunk may draw (N = 32768 at a full chunk); and the width of the
+# one-hot colour words of _cover_hits.
+_GATHER_ENTRIES, _DRAW_LIMIT, _WORD_BITS = 1 << 20, 1 << 27, 64
 
 
 def _lower_bound(n: int, k: int, N: int, mode: str) -> tuple[int, tuple[int, ...], Fraction]:
@@ -56,10 +57,7 @@ def _lower_bound(n: int, k: int, N: int, mode: str) -> tuple[int, tuple[int, ...
     if mode not in PAIR_MODES:
         raise ParameterError(f"pairs mode must be one of {PAIR_MODES}, got {mode!r}")
     h = count_progressions(N, k)
-    if mode == "exact-pairs":
-        h_i = count_intersecting_pairs(N, k).counts
-    else:
-        h_i = hi_upper_bounds(N, k)
+    h_i = count_intersecting_pairs(N, k).counts if mode == "exact-pairs" else hi_upper_bounds(N, k)
     L = Fraction(h * factorial(k), n**k)
     for i, pairs in enumerate(h_i):
         L -= Fraction(pairs * factorial(k) * factorial(k - i), n ** (2 * k - i))
@@ -90,11 +88,42 @@ class EstimateResult:
     rng_name: str
 
 
+def _cover_hits(draws: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Whether each row of draws (colours 1..n) has a k-progression coloured R = {1..k}.
+
+    Colour c <= w = min(k, _WORD_BITS) is bit c-1, any other colour 0, held position-major
+    so that per common difference the k slices of bits OR-ed are contiguous. Each term adds
+    at most one bit, so for k <= w an OR of 2^k - 1 is each colour of R once; for k > w,
+    whose OR shows only colours 1..w, each pass is confirmed by rank 0 from rainbow_ranks.
+    """
+    N, w = draws.shape[1], min(k, _WORD_BITS)
+    lookup = np.zeros(n + 1, dtype=np.min_scalar_type((1 << w) - 1))
+    lookup[1:w + 1] = [1 << c for c in range(w)]
+    bits, hit = lookup.take(draws.T), np.zeros(len(draws), dtype=bool)
+    for d in range(1, (N - 1) // (k - 1) + 1):
+        L = N - (k - 1) * d
+        acc = bits[:L].copy()
+        for j in range(1, k):
+            acc |= bits[j * d:j * d + L]
+        match = acc == (1 << w) - 1
+        if k > w and match.any():
+            # colours above k fold into k+1 (k if n = k, as k+1 may not fit int16)
+            starts, rows = np.nonzero(match)
+            terms = draws[rows[:, None], starts[:, None] + d * np.arange(k)]
+            ranks = rainbow_ranks(np.minimum(terms, min(n, k + 1)), np.arange(k)[None],
+                                  colex_table(k + 1, k))
+            match[starts, rows] = ranks[:, 0] == 0
+        hit |= match.any(axis=0)
+    return hit
+
+
 def estimate_cover_probability(n: int, k: int, N: int, trials: int, seed: int,
                                rng_name: str = "philox") -> EstimateResult:
     """Fraction of `trials` uniform colourings of [N] that cover R = {1,...,k}.
 
     The subset choice is irrelevant by symmetry of the uniform colouring.
+    Each chunk of _CHUNK int16 rows is one rng call, refused with BudgetExceededError
+    past _DRAW_LIMIT entries, and _cover_hits tests it _GATHER_ENTRIES // N rows at a time.
     Reported std_err is the binomial standard error sqrt(p(1-p)/trials).
     """
     _check_nk(n, k)
@@ -107,21 +136,14 @@ def estimate_cover_probability(n: int, k: int, N: int, trials: int, seed: int,
     if N < k:
         # no k-progression fits, so nothing can be covered
         return EstimateResult(0.0, 0.0, trials, seed, rng_name)
-    # R = {1..k} has colex rank 0. Colours above k fold into k+1 (k if n = k, as k+1 may
-    # not fit int16), so for any n the table has 0/1 entries and the ranks fit int16.
-    table, top = colex_table(k + 1, k).astype(np.int16), min(n, k + 1)
-    hits = 0
+    if min(trials, _CHUNK) * N > _DRAW_LIMIT:
+        raise BudgetExceededError(f"a chunk of {min(trials, _CHUNK)} colourings of length {N} "
+                                  f"draws over the limit of {_DRAW_LIMIT} colours")
+    rows, hits = max(1, _GATHER_ENTRIES // N), 0
     for done in range(0, trials, _CHUNK):
-        size = min(_CHUNK, trials - done)
-        draws = np.minimum(rng.integers(1, n + 1, size=(size, N), dtype=np.int16), top)
-        # blocks are regenerated per chunk so that no (h, k) table is held
-        hit = np.zeros(size, dtype=bool)
-        for _, _, progs in progression_blocks(N, k):
-            rows = max(1, _GATHER_ENTRIES // progs.size)
-            for lo in range(0, size, rows):
-                ranks = rainbow_ranks(draws[lo:lo + rows], progs, table)
-                hit[lo:lo + rows] |= (ranks == 0).any(axis=1)
-        hits += int(hit.sum())
+        draws = rng.integers(1, n + 1, size=(min(_CHUNK, trials - done), N), dtype=np.int16)
+        for lo in range(0, len(draws), rows):
+            hits += int(_cover_hits(draws[lo:lo + rows], n, k).sum())
     p_hat = hits / trials
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return EstimateResult(p_hat, std_err, trials, seed, rng_name)

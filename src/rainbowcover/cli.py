@@ -201,16 +201,8 @@ def cmd_estimate(args) -> Outcome:
     estimate = estimate_cover_probability(
         args.n, args.k, args.N, args.trials, args.seed, args.rng)
     record = _record(args, "n", "k", "N", "trials", "seed", "rng")
-    record.update({
-        "n": args.n,
-        "k": args.k,
-        "N": args.N,
-        "trials": estimate.trials,
-        "seed": estimate.seed,
-        "rng": estimate.rng_name,
-        "p_hat": estimate.p_hat,
-        "std_err": estimate.std_err,
-    })
+    record.update(n=args.n, k=args.k, N=args.N, trials=estimate.trials, seed=estimate.seed,
+                  rng=estimate.rng_name, p_hat=estimate.p_hat, std_err=estimate.std_err)
     lines = [f"p_hat = {estimate.p_hat:.6f} +- {estimate.std_err:.6f} "
              f"(n={args.n} k={args.k} N={args.N}, {args.trials} trials, seed {args.seed})"]
     return EXIT_OK, record, lines

@@ -1,7 +1,10 @@
 from fractions import Fraction
 from math import comb, factorial
+import random
 import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 
 import oracles
@@ -17,7 +20,8 @@ from rainbowcover import (
     rounds,
     upper_bound_length,
 )
-from rainbowcover.bounds import bounds_report_dict, fraction_json
+from rainbowcover import bounds
+from rainbowcover.bounds import _cover_hits, bounds_report_dict, fraction_json
 
 
 class TestBonferroni:
@@ -114,6 +118,47 @@ class TestEstimate:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_memory_bounded_past_the_word_width(self):
+        # k = 100 > 64: one-hot words of 8 bytes, rows of 300 entries
+        tracemalloc.start()
+        try:
+            estimate_cover_probability(200, 100, 300, 4096, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
+    def test_chunk_over_draw_limit_is_a_budget_error(self):
+        # the limit counts the entries of the first chunk, at most 4096 rows
+        with mock.patch.object(bounds, "_DRAW_LIMIT", 4096 * 50):
+            assert estimate_cover_probability(3, 3, 50, trials=5000, seed=1).trials == 5000
+            assert estimate_cover_probability(3, 3, 51, trials=4000, seed=1).trials == 4000
+            with pytest.raises(BudgetExceededError, match="limit"):
+                estimate_cover_probability(3, 3, 51, trials=5000, seed=1)
+
+    @pytest.mark.parametrize("k", [65, 70])
+    def test_cover_hits_confirm_past_the_word_width(self, k):
+        # the OR of 64-bit words sees colours 1..64 only; the rank confirm
+        # must reject what it lets through
+        n, N, shuffle = k + 5, 2 * (k - 1) + 4, random.Random(k).shuffle
+        others = list(range(66, k + 1))  # colours of R past 65
+
+        def planted(colours):
+            # colours on the progression 2, 4, ..., 2k of [N], colour n elsewhere
+            shuffle(colours)
+            row = [n] * N
+            row[1:2 * k:2] = colours
+            return row
+
+        cases = [(planted(list(range(1, k + 1))), True)]
+        for stand_in in [1, 64] + others[-1:] + [k + 1, n]:  # repeats, then outside R
+            cases.append((planted(list(range(1, 65)) + [stand_in] + others), False))
+        rows = np.array([row for row, _ in cases], dtype=np.int16)
+        R = frozenset(range(1, k + 1))
+        expected = [R in oracles.covered_sets(tuple(row), k) for row, _ in cases]
+        assert expected == [hit for _, hit in cases]
+        assert _cover_hits(rows, n, k).tolist() == expected
 
     def test_palette_must_fit_int16(self):
         with pytest.raises(ParameterError, match="32767"):

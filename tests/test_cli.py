@@ -1,12 +1,17 @@
 import hashlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from math import comb
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -258,6 +263,23 @@ class TestEstimate:
                                      "--N", "30", "--trials", "5", "--seed", "1")
         assert code == 0 and err == ""
         validate(record, "estimate")
+
+    def test_chunk_over_draw_limit_exit_three(self):
+        # a (4096, 10^6) int16 chunk is 7.6 GiB: refused before the draw, so
+        # the run stays inside a 3 GiB address space
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "rainbowcover.cli", "estimate", "--n", "3", "--k", "3",
+             "--N", "1000000", "--trials", "5000", "--seed", "1"],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=limit_address_space)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert "limit" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_seed_generated_when_missing(self, capsys):
         code, record, err = run_json(capsys, "estimate", "--n", "6", "--k", "2",

@@ -196,6 +196,30 @@ def test_search_matches_prefix_bound_oracle(case):
         assert (exists_cover(n, k, N) is None) == (exists_cover(n, k, N, ORACLE) is None)
 
 
+# ac(7,4) = 20: _search(7, 4, 19) refutes N = 19, and this colouring covers [20]
+COVER_7_4 = (6, 5, 6, 3, 2, 2, 4, 1, 5, 7, 3, 6, 1, 4, 6, 2, 7, 3, 5, 5)
+
+
+def test_cover_7_4_of_length_20():
+    assert verify_cover(Coloring(COVER_7_4, 7), 7, 4).complete
+    assert len(oracles.covered_sets(COVER_7_4, 4)) == 35  # C(7, 4)
+
+
+@pytest.mark.slow
+def test_ac_7_5():
+    # N = 15..18 refuted in 56 / 2,328 / 98,792 / 2,030,887 nodes, N = 19 found after 324,267
+    result = ac_exact(7, 5)
+    assert result.value == 19 and result.refuted_up_to == 18
+    assert result.nodes_explored == 2_456_330
+    assert verify_cover(result.witness, 7, 5).complete
+    assert len(oracles.covered_sets(result.witness.colors, 5)) == 21  # C(7, 5)
+
+
+@pytest.mark.slow
+def test_7_4_refuted_at_19():
+    assert _search(7, 4, 19, 10**9) == (None, 27_000_036)
+
+
 @pytest.mark.slow
 def test_ac_7_3():
     result = ac_exact(7, 3)

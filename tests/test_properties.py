@@ -24,7 +24,7 @@ from rainbowcover import (
     make_rng,
     verify_cover,
 )
-from rainbowcover import combinatorics
+from rainbowcover import bounds, combinatorics
 from rainbowcover.combinatorics import (
     BLOCK_ROWS,
     NETWORK_MAX_K,
@@ -215,6 +215,34 @@ def test_estimate_hits_match_oracle(case):
         draws = rng.integers(1, n + 1, size=(min(4096, trials - done), N), dtype=np.int16)
         hits += sum(R in oracles.covered_sets(tuple(row), k) for row in draws.tolist())
     assert estimate_cover_probability(n, k, N, trials, seed, rng_name).p_hat == hits / trials
+
+
+@st.composite
+def word_estimates(draw):
+    """An estimator case for 2 <= k <= 12, one chunk, and a sub-batch size in row entries."""
+    k = draw(st.integers(2, 12))
+    case = (draw(st.integers(k, k + 40)), k, draw(st.integers(1, 60)), draw(st.integers(1, 30)),
+            draw(st.integers(0, 2**32)), draw(st.sampled_from(["philox", "pcg64"])))
+    return case, draw(st.integers(1, 200))
+
+
+@settings(deadline=None)
+@given(word_estimates())
+@example(((8, 8, 60, 30, 5, "philox"), 130))  # one-byte words, with hits
+@example(((9, 9, 60, 30, 5, "pcg64"), 130))  # two-byte words, with hits
+@example(((12, 12, 60, 30, 1, "philox"), 1))  # one row per sub-batch
+def test_estimate_word_paths_match_oracle(case):
+    # replay the draws; run the exact OR test, then (word width 2) the rank
+    # confirm for every k > 2, each on sub-batches of gather // N rows
+    (n, k, N, trials, seed, rng_name), gather = case
+    draws = make_rng(seed, rng_name).integers(1, n + 1, size=(trials, N), dtype=np.int16)
+    R = frozenset(range(1, k + 1))
+    hits = sum(R in oracles.covered_sets(tuple(row), k) for row in draws.tolist())
+    with mock.patch.object(bounds, "_GATHER_ENTRIES", gather):
+        for width in (64, 2):
+            with mock.patch.object(bounds, "_WORD_BITS", width):
+                result = estimate_cover_probability(n, k, N, trials, seed, rng_name)
+                assert result.p_hat == hits / trials, width
 
 
 @settings(deadline=None)
