@@ -42,7 +42,7 @@ from .coverage import (
     verify_cover,
 )
 from .errors import BudgetExceededError, ParameterError, RoundsExhaustedError
-from .exact import DEFAULT_NODE_BUDGET, SearchConfig, ac_exact, exact_result_dict
+from .exact import DEFAULT_NODE_BUDGET, METHOD, SearchConfig, ac_exact, exact_result_dict
 
 EXIT_OK = 0
 EXIT_INCOMPLETE = 1
@@ -100,6 +100,9 @@ def cmd_verify(args) -> Outcome:
 
 
 def cmd_construct(args) -> Outcome:
+    if args.output and args.trace and (
+            os.path.realpath(args.output) == os.path.realpath(args.trace)):
+        raise ParameterError(f"--output and --trace name one file: {args.output}")
     _ensure_seed(args)
     params = ConstructParams(
         seed=args.seed,
@@ -209,13 +212,8 @@ def cmd_estimate(args) -> Outcome:
 
 
 def cmd_exact(args) -> Outcome:
-    config = SearchConfig(
-        max_N=args.max_N,
-        node_budget=args.budget,
-        oracle_mode=args.oracle,
-    )
-    method = "exhaustive-dfs" if args.oracle else "pruned-dfs"
-    record = _record(args, "n", "k", "max_N", "budget", "oracle")
+    config = SearchConfig(max_N=args.max_N, node_budget=args.budget)
+    record = _record(args, "n", "k", "max_N", "budget")
     try:
         result = ac_exact(args.n, args.k, config)
     except BudgetExceededError as exc:
@@ -224,15 +222,15 @@ def cmd_exact(args) -> Outcome:
             "error": "budget-exceeded",
             "nodes_explored": exc.nodes_explored,
             "refuted_up_to": exc.refuted_up_to,
-            "method": method,
+            "method": METHOD,
         })
         return EXIT_BUDGET, record, []
-    record.update(exact_result_dict(result, method))
+    record.update(exact_result_dict(result))
     if args.output:
-        header = {"n": args.n, "k": args.k, "ac": result.value, "method": method}
+        header = {"n": args.n, "k": args.k, "ac": result.value, "method": METHOD}
         _write_files({args.output: format_coloring(result.witness, header)})
     lines = [
-        f"ac({args.n},{args.k}) = {result.value} [{method}, computed by this tool]",
+        f"ac({args.n},{args.k}) = {result.value} [{METHOD}, computed by this tool]",
         f"witness: {' '.join(map(str, result.witness.colors))}",
         f"nodes explored: {result.nodes_explored}, refuted up to: {result.refuted_up_to}",
     ]
@@ -312,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-N", type=int, default=None, dest="max_N")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                    help="search-node budget")
-    p.add_argument("--oracle", action="store_true",
-                   help="exhaustive reference mode, no pruning or symmetry breaking")
     p.add_argument("--output", help="write the witness colouring text here")
 
     return parser

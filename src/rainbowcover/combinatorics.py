@@ -85,7 +85,7 @@ class ColorSet:
 
     @classmethod
     def from_colors(cls, colors: Iterable[int], n: int) -> "ColorSet":
-        values = list(colors)
+        values = list(map(index, colors))  # numpy integers would overflow the shift
         mask = 0
         for c in values:
             if not 1 <= c <= n:

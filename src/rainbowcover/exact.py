@@ -23,10 +23,8 @@ incrementally with an undo list per assignment. Two accelerations:
 * symmetry breaking: colour classes are interchangeable, so the first
   occurrence of colour c is forced before the first occurrence of colour c+1.
 
-Oracle mode runs a separate plain exhaustive DFS instead: every colour at
-every position, no prune, no symmetry breaking and no early fill-in, and a
-cover accepted only at full length. It keeps only the set of covered colour
-masks, as an auditable reference that the pruned search is tested against.
+The tests check this search against the plain exhaustive DFS and the
+from-scratch prefix-class replay of tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -45,13 +43,13 @@ from .bounds import lower_bound_N
 from .errors import BudgetExceededError, ParameterError
 
 DEFAULT_NODE_BUDGET = 10**9
+METHOD = "pruned-dfs"  # the label of every value ac_exact returns
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     max_N: Optional[int] = None
     node_budget: int = DEFAULT_NODE_BUDGET
-    oracle_mode: bool = False
 
     def __post_init__(self):
         if self.node_budget < 1:
@@ -81,7 +79,7 @@ def _split(items: list, at: np.ndarray, N: int) -> list[list]:
 def _check_depth(N: int) -> None:
     """Raise BudgetExceededError when a search of [N] started by the caller
     would recurse past the interpreter's limit: its rec adds N + 1 frames to
-    the caller's stack, and the pruned search's helpers 3 more."""
+    the caller's stack, and its helpers 3 more."""
     depth = N + 4 + sum(1 for _ in traceback.walk_stack(sys._getframe(1)))
     if depth > sys.getrecursionlimit():
         raise BudgetExceededError(f"interval length {N} needs a search {depth} frames deep, "
@@ -289,49 +287,6 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
     return found, nodes
 
 
-def _oracle_search(n: int, k: int, N: int,
-                   budget: int) -> tuple[Optional[tuple[int, ...]], int]:
-    """Plain exhaustive DFS with the result, budget and depth check of _search:
-    every colour at every position, one node per assignment, and a cover
-    accepted only at full length, so the lexicographically first is found."""
-    _check_depth(N)
-    total = comb(n, k)
-    ending: list[list[list[int]]] = [[] for _ in range(N)]  # terms by last term
-    for _, _, positions in progression_blocks(N, k):
-        for terms in positions.tolist():
-            ending[terms[-1]].append(terms)
-    colors = [0] * N
-    covered: set[int] = set()  # colour masks of the covered k-sets
-    nodes = 0
-
-    def rec(i: int) -> Optional[tuple[int, ...]]:
-        nonlocal nodes
-        if i == N:
-            return tuple(colors) if len(covered) == total else None
-        for c in range(1, n + 1):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(
-                    f"node budget {budget} exhausted at interval length {N}",
-                    nodes_explored=nodes)
-            colors[i] = c
-            newly = []
-            for terms in ending[i]:
-                mask = 0
-                for p in terms:
-                    mask |= 1 << colors[p]
-                if mask.bit_count() == k and mask not in covered:
-                    covered.add(mask)
-                    newly.append(mask)
-            found = rec(i + 1)
-            if found is not None:
-                return found
-            covered.difference_update(newly)
-        return None
-
-    return rec(0), nodes
-
-
 def exists_cover(n: int, k: int, N: int,
                  config: Optional[SearchConfig] = None) -> Optional[Coloring]:
     """Some n-colouring of [N] covering every k-subset, or None if none exists.
@@ -343,8 +298,7 @@ def exists_cover(n: int, k: int, N: int,
     _check_family_size(n, k)
     _check_interval(N, k)
     config = config or SearchConfig()
-    search = _oracle_search if config.oracle_mode else _search
-    found, _ = search(n, k, N, config.node_budget)
+    found, _ = _search(n, k, N, config.node_budget)
     return Coloring(found, n) if found is not None else None
 
 
@@ -357,7 +311,6 @@ def ac_exact(n: int, k: int, config: Optional[SearchConfig] = None) -> ExactResu
     """
     _check_family_size(n, k)
     config = config or SearchConfig()
-    search = _oracle_search if config.oracle_mode else _search
     N = lower_bound_N(n, k)
     budget_left = config.node_budget
     total_nodes = 0
@@ -367,7 +320,7 @@ def ac_exact(n: int, k: int, config: Optional[SearchConfig] = None) -> ExactResu
                 f"no cover found up to max_N = {config.max_N}",
                 nodes_explored=total_nodes, refuted_up_to=N - 1)
         try:
-            found, nodes = search(n, k, N, budget_left)
+            found, nodes = _search(n, k, N, budget_left)
         except BudgetExceededError as exc:
             raise BudgetExceededError(
                 str(exc) if exc.nodes_explored is None else  # the depth limit, not the budget
@@ -388,7 +341,7 @@ def ac_exact(n: int, k: int, config: Optional[SearchConfig] = None) -> ExactResu
         N += 1
 
 
-def exact_result_dict(result: ExactResult, method: str) -> dict:
+def exact_result_dict(result: ExactResult) -> dict:
     """JSON-ready record; `method` labels how this tool derived the value."""
     return {
         "n": result.n,
@@ -397,5 +350,5 @@ def exact_result_dict(result: ExactResult, method: str) -> dict:
         "witness": list(result.witness.colors),
         "nodes_explored": result.nodes_explored,
         "refuted_up_to": result.refuted_up_to,
-        "method": method,
+        "method": METHOD,
     }

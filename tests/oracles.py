@@ -109,8 +109,8 @@ def block_length_ceiling_ok(n: int, k: int, m: int) -> bool:
 def exhaustive_cover_search(n: int, k: int, N: int):
     """First colouring of [N] (lexicographic) covering all k-subsets, or None.
 
-    Full n^N scan; only usable at toy sizes. Used to double-check the search
-    module's own oracle mode.
+    Full n^N scan; only usable at toy sizes. Used to double-check
+    exhaustive_dfs.
     """
     needed = set(all_subsets(n, k))
     progs = [progression_terms(s, d, k) for s, d in progressions(N, k)]
@@ -125,6 +125,60 @@ def exhaustive_cover_search(n: int, k: int, N: int):
         if not missing:
             return colors
     return None
+
+
+def exhaustive_dfs(n: int, k: int, N: int):
+    """(first covering colouring, nodes) of a plain exhaustive DFS of [N].
+
+    Every colour at every position, one node per assignment, no prune and no
+    symmetry breaking; a progression is checked at the step that colours its
+    last term, and a cover is accepted only at full length, so the result is
+    the lexicographically first covering colouring, as in exhaustive_cover_search.
+    """
+    total = comb(n, k)
+    ending: list[list[tuple[int, ...]]] = [[] for _ in range(N + 1)]  # terms by last term
+    for start, diff in progressions(N, k):
+        terms = progression_terms(start, diff, k)
+        ending[terms[-1]].append(terms)
+    colors = [0] * (N + 1)  # 1-based; colors[0] is unused
+    covered: set[int] = set()  # colour masks of the covered k-sets
+    nodes = 0
+
+    def rec(i: int):
+        nonlocal nodes
+        if i > N:
+            return tuple(colors[1:]) if len(covered) == total else None
+        for c in range(1, n + 1):
+            nodes += 1
+            colors[i] = c
+            newly = []
+            for terms in ending[i]:
+                mask = 0
+                for p in terms:
+                    mask |= 1 << colors[p]
+                if mask.bit_count() == k and mask not in covered:
+                    covered.add(mask)
+                    newly.append(mask)
+            found = rec(i + 1)
+            if found is not None:
+                return found
+            covered.difference_update(newly)
+        return None
+
+    return rec(1), nodes
+
+
+def exhaustive_ac(n: int, k: int, first_N: int):
+    """(ac(n, k), first covering colouring, nodes in all) by exhaustive_dfs at
+    N = first_N, first_N + 1, ... until some colouring covers; first_N must
+    not exceed ac(n, k)."""
+    N, total_nodes = first_N, 0
+    while True:
+        found, nodes = exhaustive_dfs(n, k, N)
+        total_nodes += nodes
+        if found is not None:
+            return N, found, total_nodes
+        N += 1
 
 
 def prefix_bound_search(n: int, k: int, N: int):

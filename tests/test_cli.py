@@ -300,12 +300,6 @@ class TestExact:
                                      "--n", "4", "--k", "3")
         assert code2 == 0 and record2["complete"] is True
 
-    def test_oracle_mode_agrees(self, capsys):
-        code, record, _ = run_json(capsys, "exact", "--n", "4", "--k", "3", "--oracle")
-        assert code == 0
-        validate(record, "exact")
-        assert record["ac"] == 6 and record["method"] == "exhaustive-dfs"
-
     def test_budget_exit_three(self, capsys):
         code, out, err = run_cli(capsys, "exact", "--n", "5", "--k", "3",
                                  "--budget", "100")
@@ -324,11 +318,10 @@ class TestExact:
         assert record["refuted_up_to"] == 5
         assert "must be >= 1" not in err
 
-    @pytest.mark.parametrize("mode", [[], ["--oracle"]], ids=["pruned", "oracle"])
-    def test_depth_limit_exit_three(self, capsys, mode):
-        # both searches recurse once per position, so N = 1100 is past the default
+    def test_depth_limit_exit_three(self, capsys):
+        # the search recurses once per position, so N = 1100 is past the default
         # recursion limit of 1000: refused before searching, as a budget error
-        code, out, err = run_cli(capsys, "exact", "--n", "1100", "--k", "1100", *mode)
+        code, out, err = run_cli(capsys, "exact", "--n", "1100", "--k", "1100")
         assert code == 3
         record = json.loads(out)
         assert record["error"] == "budget-exceeded"
@@ -389,14 +382,16 @@ class TestCommonFlags:
         assert code == 2 and out == ""
         assert "overflows" in err
 
-    @pytest.mark.parametrize("argv", [
-        ("count", "--N", "12", "--k", "3", "--pairs"),
-        ("bounds", "--n", "3", "--k", "2"),
-    ])
-    def test_pair_budget_rejected(self, capsys, argv):
+    @pytest.mark.parametrize("argv,flag", [
         # the pair tallies have a fixed size guard, not a --budget flag
+        (("count", "--N", "12", "--k", "3", "--pairs"), ["--budget", "10"]),
+        (("bounds", "--n", "3", "--k", "2"), ["--budget", "10"]),
+        # the exhaustive reference search lives in the tests, not behind a flag
+        (("exact", "--n", "4", "--k", "3"), ["--oracle"]),
+    ], ids=["count-budget", "bounds-budget", "exact-oracle"])
+    def test_removed_flag_rejected(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as info:
-            cli.main([*argv, "--budget", "10"])
+            cli.main([*argv, *flag])
         assert info.value.code == 2
         assert capsys.readouterr().out == ""
 
@@ -433,6 +428,20 @@ class TestCommonFlags:
         else:
             assert (tmp_path / "cover.txt").read_text() == existing
 
+    @pytest.mark.parametrize("existing", [None, "old colouring\n"])
+    def test_output_and_trace_one_file_exit_two(self, capsys, tmp_path, monkeypatch, existing):
+        # two spellings of one path: writing both would leave only the trace
+        monkeypatch.chdir(tmp_path)
+        if existing is not None:
+            (tmp_path / "cover.txt").write_text(existing)
+        code, out, err = run_cli(capsys, "construct", "--n", "4", "--k", "3", "--seed", "1",
+                                 "--output", "cover.txt", "--trace", "./cover.txt")
+        assert code == 2 and out == ""
+        assert "one file" in err
+        assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["cover.txt"])
+        if existing is not None:
+            assert (tmp_path / "cover.txt").read_text() == existing
+
     def test_undecodable_input_exit_two(self, capsys, tmp_path):
         path = tmp_path / "undecodable.txt"
         path.write_bytes(b"\xff\xfe")
@@ -451,9 +460,10 @@ class TestCommonFlags:
 
 # argv -> (exit code, sha256 of stdout with --json, with --text, sha256 of
 # each file written), pinned from the CLI before it was rewritten around one
-# print path; exact's JSON has since dropped its "symmetry_breaking" param, and
-# count's and bounds' JSON their pair-scan "budget" param. The prefix-class
-# prune changed only "nodes_explored" in two exact records (41 -> 26, 16 -> 14).
+# print path; exact's JSON has since dropped its "symmetry_breaking" and
+# "oracle" params, and count's and bounds' JSON their pair-scan "budget" param.
+# The prefix-class prune changed only "nodes_explored" in two exact records
+# (41 -> 26, 16 -> 14).
 GOLDEN = {
     "verify --input golden.txt --n 6 --k 3":
         (0, "fbd57d66869554a2956d69acf7537d829115dee9329895276009eaf027525ed2",
@@ -515,17 +525,14 @@ GOLDEN = {
         (0, "5482eca4aee82d485b25e9ef3d494f9ee3e95424ca5d18457a79a8ccbe914596",
          "0133f400245d2eab066e757862a5b0d7a37cfe50b7b652322104307d8a8e72ca", {}),
     "exact --n 4 --k 3 --output witness.txt":
-        (0, "587e1982eca0f66d1bd80806db7d533f5cad942c70399dce5623ca0611c67bfd",
+        (0, "dcbed58f54c5d9845f46dce77eea282d4435c2340da5e7cbef5cdd0e0ca1d511",
          "8d390f5b37bb173d7721b41c84c610bbd7c01470f9908561d54c77bb093a3e3c",
          {"witness.txt": "4c4ecd6a7c03f01bac007ca7643070bf9b7df35c6626391488d534e031ffd1bf"}),
-    "exact --n 4 --k 3 --oracle --max-N 8":
-        (0, "6d19f8c767d0e93b7b155c014dc93d1bb8cb18b2d06420e2a61356b5db33ff31",
-         "2d120efff81551cbe1d0ab6a8efa046afabd4b7ce337742af70bc2fa56e29d80", {}),
     "exact --n 5 --k 3 --budget 100":
-        (3, "2e554242ed92e87321daa0640cb2c2d9f254aafdf8f46296b7979aa1618b892c",
+        (3, "d627cc801aacc32a6c2c7a1025feb5e914ee5fd631948e8cafd85e17ff67f2c9",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {}),
     "exact --n 4 --k 3 --max-N 5":
-        (3, "b1690b8379764931be10ec4da92abc15739c3655e77950d1093cb95940af0ba0",
+        (3, "82000de3559693ed34ac116c96df4523b88598c1795ae97c3c72beb92d219d85",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {}),
 }
 
@@ -590,8 +597,6 @@ def cli_argvs(draw):
         argv += maybe(["--N", str(N)]) + (trials if command == "estimate" else maybe(trials))
     if command in ("construct", "bounds", "estimate"):
         argv += maybe(["--seed", str(draw(st.sampled_from([-1, 0, 7])))])
-    if command == "exact":
-        argv += maybe(["--oracle"])
     # output files, now and then into a directory that does not exist
     outputs = st.sampled_from(OUTPUT_FILES)
     if command in ("construct", "exact"):
@@ -602,6 +607,9 @@ def cli_argvs(draw):
     if command in ("count", "bounds"):
         # a pair-scan budget flag left over from before the fixed guard
         argv += maybe(["--budget", "10"], one_in=8)
+    if command == "exact":
+        # a search-mode flag left over from before the oracle moved to the tests
+        argv += maybe(["--oracle"], one_in=8)
     # the colouring file for verify, now and then with a colour outside 1..n
     colors = draw(st.lists(st.integers(1, n), max_size=N))
     colors += maybe([draw(st.sampled_from([0, n + 1]))], one_in=4)

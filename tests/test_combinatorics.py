@@ -275,6 +275,13 @@ class TestColorSet:
         assert cs.colors == (2, 5, 6)
         assert cs.k == 3
         assert ColorSet.from_rank(cs.rank, 6, 3) == cs
+        # numpy rows with colours past bit 63, as colex_unrank returns them
+        ranks = [0, 4000, comb(100, 3) - 1]
+        rows = [np.array([3, 70, 90]), *colex_unrank(np.array(ranks), colex_table(100, 3))]
+        for row in rows:
+            cs = ColorSet.from_colors(row, 100)
+            assert cs.colors == tuple(row.tolist())
+            assert ColorSet.from_rank(cs.rank, 100, 3) == cs
 
     def test_duplicates_rejected(self):
         with pytest.raises(ParameterError):

@@ -15,9 +15,7 @@ from rainbowcover import (
     lower_bound_N,
     verify_cover,
 )
-from rainbowcover.exact import _oracle_search, _search
-
-ORACLE = SearchConfig(oracle_mode=True)
+from rainbowcover.exact import _search
 
 # values certified by the exhaustive oracle (see test_agrees_with_oracle_mode)
 KNOWN_VALUES = {
@@ -53,15 +51,13 @@ class TestExistsCover:
         # position 3 lies on all four 3-progressions of [5], so whatever its
         # colour, the one triple avoiding that colour stays uncovered
         assert exists_cover(4, 3, 5) is None
-        assert exists_cover(4, 3, 5, ORACLE) is None
+        assert oracles.exhaustive_dfs(4, 3, 5)[0] is None
 
     def test_oracle_visits_the_full_tree(self):
         # every colour at every position, and a cover accepted only at full
         # length: refuting [5] takes 4 + 4^2 + ... + 4^5 nodes
-        assert _oracle_search(4, 3, 5, 10**6) == (None, sum(4**i for i in range(1, 6)))
-        result = ac_exact(4, 3, ORACLE)
-        assert (result.value, result.nodes_explored, result.witness.colors) == (
-            6, 1512, (1, 1, 2, 3, 4, 1))
+        assert oracles.exhaustive_dfs(4, 3, 5) == (None, sum(4**i for i in range(1, 6)))
+        assert oracles.exhaustive_ac(4, 3, lower_bound_N(4, 3)) == (6, (1, 1, 2, 3, 4, 1), 1512)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_identity_pairs(self, n):
@@ -74,16 +70,16 @@ class TestExistsCover:
             first = KNOWN_VALUES[(n, k)]
             for N in range(lower_bound_N(n, k), first):
                 assert exists_cover(n, k, N) is None, (n, k, N)
-                assert exists_cover(n, k, N, ORACLE) is None, (n, k, N)
+                assert oracles.exhaustive_dfs(n, k, N)[0] is None, (n, k, N)
 
     def test_oracle_mode_against_product_scan(self):
-        # and the search module's own reference mode against a third opinion
+        # and the exhaustive DFS oracle against a third opinion: both find the
+        # lexicographically first cover
         for n, k, N in [(3, 3, 3), (4, 3, 5), (4, 3, 6), (3, 2, 2), (3, 2, 3)]:
-            expected = oracles.exhaustive_cover_search(n, k, N)
-            got = exists_cover(n, k, N, ORACLE)
-            assert (got is None) == (expected is None), (n, k, N)
+            got = oracles.exhaustive_dfs(n, k, N)[0]
+            assert got == oracles.exhaustive_cover_search(n, k, N), (n, k, N)
             if got is not None:
-                assert verify_cover(got, n, k).complete
+                assert verify_cover(Coloring(got, n), n, k).complete
 
     def test_budget_exhaustion_is_not_absence(self):
         with pytest.raises(BudgetExceededError) as info:
@@ -136,9 +132,9 @@ class TestAcExact:
     def test_agrees_with_oracle_mode(self):
         for n, k in [(2, 2), (3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (5, 3), (4, 4)]:
             pruned = ac_exact(n, k)
-            reference = ac_exact(n, k, ORACLE)
-            assert pruned.value == reference.value == KNOWN_VALUES[(n, k)], (n, k)
-            assert verify_cover(reference.witness, n, k).complete
+            value, witness, _ = oracles.exhaustive_ac(n, k, lower_bound_N(n, k))
+            assert pruned.value == value == KNOWN_VALUES[(n, k)], (n, k)
+            assert verify_cover(Coloring(witness, n), n, k).complete
 
     def test_deterministic(self):
         a = ac_exact(5, 3)
@@ -193,7 +189,7 @@ def test_search_matches_prefix_bound_oracle(case):
     n, k, N = case
     assert _search(n, k, N, 10**6) == oracles.prefix_bound_search(n, k, N)
     if n**N <= 2**16:
-        assert (exists_cover(n, k, N) is None) == (exists_cover(n, k, N, ORACLE) is None)
+        assert (exists_cover(n, k, N) is None) == (oracles.exhaustive_dfs(n, k, N)[0] is None)
 
 
 # ac(7,4) = 20: _search(7, 4, 19) refutes N = 19, and this colouring covers [20]

@@ -2,10 +2,12 @@
 coverage scans built on them, and the pair tallies, against the brute-force
 oracles."""
 
+import ast
 import hashlib
 import json
 import random
 from math import comb
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -62,6 +64,15 @@ def witness_pairs(report):
 def oracle_color_set(rank, k):
     """The ColorSet of a colex rank, unranked by the scalar oracle."""
     return ColorSet(sum(1 << (c - 1) for c in oracles.subset_unrank(rank, k)), rank)
+
+
+def test_oracles_do_not_import_the_package():
+    # a reference built on the code it checks would share its faults
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name.split(".")[0] == "rainbowcover"]
 
 
 @settings(deadline=None)
