@@ -31,7 +31,6 @@ from .construct import (
     construct_cover,
     make_rng,
     min_alpha,
-    random_coloring,
     rounds,
 )
 from .bounds import (

@@ -18,7 +18,7 @@ import os
 import secrets
 import sys
 from dataclasses import asdict
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterable, Optional
 
 from .bounds import (
@@ -64,19 +64,24 @@ def _record(args, *names: str) -> dict:
     return {"command": args.command, "params": {name: getattr(args, name) for name in names}}
 
 
-def _write_files(texts: dict[str, str]) -> None:
+def _write_files(texts: list[tuple[str, str]]) -> None:
     """Write each text to its path, all or none: every path is opened for
-    appending, which truncates nothing, before any is written, and a failed
-    open removes the files that the opens before it created."""
-    new = [path for path in texts if not os.path.exists(path)]
+    appending, which truncates nothing, before any is written. A failed open,
+    or two paths naming one file (hard links included), removes the files
+    that the opens created."""
+    paths = [path for path, _ in texts]
+    new = [path for path in paths if not os.path.exists(path)]
     try:
-        for path in texts:
+        for path in paths:
             open(path, "a", encoding="utf-8").close()
-    except OSError:
+        for first, second in combinations(paths, 2):
+            if os.path.samefile(first, second):
+                raise ParameterError(f"{first} and {second} name one file")
+    except (OSError, ParameterError):
         for path in filter(os.path.exists, new):
             os.remove(path)
         raise
-    for path, text in texts.items():
+    for path, text in texts:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
 
@@ -100,9 +105,6 @@ def cmd_verify(args) -> Outcome:
 
 
 def cmd_construct(args) -> Outcome:
-    if args.output and args.trace and (
-            os.path.realpath(args.output) == os.path.realpath(args.trace)):
-        raise ParameterError(f"--output and --trace name one file: {args.output}")
     _ensure_seed(args)
     params = ConstructParams(
         seed=args.seed,
@@ -122,7 +124,7 @@ def cmd_construct(args) -> Outcome:
         record["error"] = "rounds-exhausted"
         if args.format == "json":  # text prints no record: skip the unranking
             record["residual"] = exc.residual.colors()
-        record["rounds_used"] = exc.rounds_used
+        record["rounds_used"] = exc.trace.rounds_used
         return EXIT_BUDGET, record, []
 
     trace = result.trace
@@ -132,8 +134,8 @@ def cmd_construct(args) -> Outcome:
 
     coloring_text = format_coloring(result.coloring, coloring_header(trace))
     trace_text = "".join(json.dumps(rec) + "\n" for rec in rounds)
-    _write_files({path: text for path, text in [(args.output, coloring_text),
-                                                (args.trace, trace_text)] if path})
+    _write_files([(path, text) for path, text in [(args.output, coloring_text),
+                                                  (args.trace, trace_text)] if path])
 
     record.update({
         "block_length": trace.block_length,
@@ -228,7 +230,7 @@ def cmd_exact(args) -> Outcome:
     record.update(exact_result_dict(result))
     if args.output:
         header = {"n": args.n, "k": args.k, "ac": result.value, "method": METHOD}
-        _write_files({args.output: format_coloring(result.witness, header)})
+        _write_files([(args.output, format_coloring(result.witness, header))])
     lines = [
         f"ac({args.n},{args.k}) = {result.value} [{METHOD}, computed by this tool]",
         f"witness: {' '.join(map(str, result.witness.colors))}",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from operator import index
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -37,21 +37,13 @@ FAMILY_SIZE_LIMIT = 1 << 32
 NETWORK_MAX_K = 16
 
 
-@dataclass(frozen=True)
-class Progression:
-    """Arithmetic progression {start, start+diff, ..., start+(length-1)*diff}."""
+class Progression(NamedTuple):
+    """Arithmetic progression {start, start+diff, ..., start+(length-1)*diff};
+    an output-only record, so its fields are not checked."""
 
     start: int
     diff: int
     length: int
-
-    def __post_init__(self):
-        if self.start < 1:
-            raise ParameterError(f"progression start must be >= 1, got {self.start}")
-        if self.diff < 1:
-            raise ParameterError(f"progression diff must be >= 1, got {self.diff}")
-        if self.length < 2:
-            raise ParameterError(f"progression length must be >= 2, got {self.length}")
 
     @property
     def last(self) -> int:

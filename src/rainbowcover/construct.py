@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
 from math import factorial, isqrt
 from typing import Optional
 
@@ -113,20 +112,6 @@ def rounds(n: int, k: int, alpha: float, log_base: str = "e",
     return math.ceil(product)
 
 
-def random_coloring(N: int, n: int, rng: np.random.Generator) -> Coloring:
-    """Uniform random n-colouring of [N]; each position independent.
-
-    Deterministic given the generator state, i.e. given (seed, rng_name) and
-    the number of draws consumed before this call.
-    """
-    if N < 1:
-        raise ParameterError(f"interval length N must be >= 1, got {N}")
-    if n < 1:
-        raise ParameterError(f"number of colours must be >= 1, got {n}")
-    values = rng.integers(1, n + 1, size=N)
-    return Coloring(tuple(int(v) for v in values), n)
-
-
 @dataclass(frozen=True)
 class ConstructParams:
     """Knobs of the randomized construction; all of them are reproducibility
@@ -161,17 +146,12 @@ class RoundRecord:
 
 @dataclass
 class ConstructTrace:
-    """Per-round progress of one construction run plus everything needed to
+    """Per-round progress of one construction run and the parameters that
     reproduce it."""
 
     n: int
     k: int
-    alpha: float
-    seed: int
-    rng_name: str
-    log_base: str
-    samples_per_round: int
-    max_rounds: int
+    params: ConstructParams
     block_length: int
     rounds: list[RoundRecord] = field(default_factory=list)
     rounds_used: int = 0
@@ -199,31 +179,25 @@ def construct_cover(n: int, k: int, params: ConstructParams) -> ConstructResult:
     max_rounds = params.max_rounds if params.max_rounds is not None else 4 * target_rounds
     rng = make_rng(params.seed, params.rng_name)
     table = colex_table(n, k)
-    progs = [positions for _, _, positions in progression_blocks(length, k)]
-
-    trace = ConstructTrace(
-        n=n, k=k, alpha=params.alpha, seed=params.seed, rng_name=params.rng_name,
-        log_base=params.log_base, samples_per_round=params.samples_per_round,
-        max_rounds=max_rounds, block_length=length)
+    positions = np.concatenate([p for _, _, p in progression_blocks(length, k)])
+    trace = ConstructTrace(n=n, k=k, params=params, block_length=length)
 
     uncovered = np.ones(total, dtype=bool)
-    blocks: list[tuple[int, ...]] = []
+    blocks: list[np.ndarray] = []
     for round_index in range(max_rounds):
         before = int(np.count_nonzero(uncovered))
         if not before:
             break
-        best_colors: Optional[tuple[int, ...]] = None
-        best_hit = np.empty(0, dtype=np.int64)
+        best = best_hit = None
         for _ in range(params.samples_per_round):
-            candidate = random_coloring(length, n, rng).colors
-            colors = np.array(candidate)
-            ranks = np.concatenate([rainbow_ranks(colors, pos, table) for pos in progs])
+            colors = rng.integers(1, n + 1, size=length)
+            ranks = rainbow_ranks(colors, positions, table)
             ranks = ranks[ranks >= 0]
             hit = np.unique(ranks[uncovered[ranks]])
-            if best_colors is None or len(hit) > len(best_hit):
-                best_colors, best_hit = candidate, hit
+            if best is None or len(hit) > len(best_hit):
+                best, best_hit = colors, hit
         uncovered[best_hit] = False
-        blocks.append(best_colors)
+        blocks.append(best)
         trace.rounds.append(RoundRecord(
             round=round_index,
             family_before=before,
@@ -238,20 +212,22 @@ def construct_cover(n: int, k: int, params: ConstructParams) -> ConstructResult:
         raise RoundsExhaustedError(
             f"{len(residual)} of {total} subsets still uncovered after "
             f"{len(blocks)} rounds (limit {max_rounds})",
-            residual=residual, trace=trace, rounds_used=len(blocks))
-    coloring = Coloring(tuple(chain.from_iterable(blocks)), n)
+            residual=residual, trace=trace)
+    # tolist() gives Python ints, which the JSON output needs
+    coloring = Coloring(np.concatenate(blocks).tolist(), n)
     return ConstructResult(coloring, trace)
 
 
 def coloring_header(trace: ConstructTrace) -> dict:
     """Header comment fields for a constructed colouring file."""
+    params = trace.params
     return {
         "n": trace.n,
         "k": trace.k,
-        "alpha": trace.alpha,
-        "seed": trace.seed,
-        "rng": trace.rng_name,
-        "log_base": trace.log_base,
+        "alpha": params.alpha,
+        "seed": params.seed,
+        "rng": params.rng_name,
+        "log_base": params.log_base,
         "rounds": trace.rounds_used,
         "block_length": trace.block_length,
     }

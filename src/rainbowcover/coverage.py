@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb
 from typing import Optional
 
@@ -105,8 +106,8 @@ def covered_family(coloring: Coloring, k: int,
         covered[ranks] = True
         count += len(ranks)
         if witnesses is not None:
-            witnesses.update((r, Progression(s, d, k)) for r, s, d in
-                             zip(ranks.tolist(), starts[first].tolist(), diffs[first].tolist()))
+            witnesses.update(zip(ranks.tolist(), map(Progression._make, zip(
+                starts[first].tolist(), diffs[first].tolist(), repeat(k)))))
         if count == total:
             break
     return CoverageReport(n, k, covered, count, witnesses)
@@ -183,6 +184,6 @@ def coverage_report_dict(coloring: Coloring, result: VerifyResult) -> dict:
         ranks = sorted(report.witnesses)
         keys = ColorSetView(np.array(ranks, dtype=np.int64), report.n, report.k).colors()
         out["witnesses"] = {
-            ",".join(map(str, colors)): {"start": p.start, "diff": p.diff, "length": p.length}
-            for colors, p in zip(keys, map(report.witnesses.get, ranks))}
+            ",".join(map(str, colors)): report.witnesses[rank]._asdict()
+            for colors, rank in zip(keys, ranks)}
     return out

@@ -44,8 +44,7 @@ class RoundsExhaustedError(RuntimeError):
     for diagnostics.
     """
 
-    def __init__(self, message: str, residual=None, trace=None, rounds_used: int = 0):
+    def __init__(self, message: str, residual=None, trace=None):
         super().__init__(message)
         self.residual = residual if residual is not None else []
         self.trace = trace
-        self.rounds_used = rounds_used

@@ -287,19 +287,29 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
     return found, nodes
 
 
+def _certified(found: tuple[int, ...], n: int, k: int) -> Coloring:
+    """The search's colouring, re-run through verify_cover."""
+    witness = Coloring(found, n)
+    if not verify_cover(witness, n, k).complete:
+        raise AssertionError(f"internal error: search produced an invalid witness "
+                             f"for n={n} k={k} N={len(found)}")
+    return witness
+
+
 def exists_cover(n: int, k: int, N: int,
                  config: Optional[SearchConfig] = None) -> Optional[Coloring]:
     """Some n-colouring of [N] covering every k-subset, or None if none exists.
 
     None means the instance is refuted (exhaustively, within the node budget);
     running out of budget raises BudgetExceededError instead, so the two
-    outcomes are never conflated.
+    outcomes are never conflated. A returned colouring is re-run through
+    verify_cover.
     """
     _check_family_size(n, k)
     _check_interval(N, k)
     config = config or SearchConfig()
     found, _ = _search(n, k, N, config.node_budget)
-    return Coloring(found, n) if found is not None else None
+    return _certified(found, n, k) if found is not None else None
 
 
 def ac_exact(n: int, k: int, config: Optional[SearchConfig] = None) -> ExactResult:
@@ -330,13 +340,7 @@ def ac_exact(n: int, k: int, config: Optional[SearchConfig] = None) -> ExactResu
         total_nodes += nodes
         budget_left -= nodes
         if found is not None:
-            witness = Coloring(found, n)
-            check = verify_cover(witness, n, k)
-            if not check.complete:
-                raise AssertionError(
-                    f"internal error: search produced an invalid witness for "
-                    f"n={n} k={k} N={N}")
-            return ExactResult(n=n, k=k, value=N, witness=witness,
+            return ExactResult(n=n, k=k, value=N, witness=_certified(found, n, k),
                                nodes_explored=total_nodes, refuted_up_to=N - 1)
         N += 1
 

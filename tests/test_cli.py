@@ -442,6 +442,17 @@ class TestCommonFlags:
         if existing is not None:
             assert (tmp_path / "cover.txt").read_text() == existing
 
+    def test_output_and_trace_hard_linked_exit_two(self, capsys, tmp_path, monkeypatch):
+        # a hard link has its own path, so only the files themselves tell
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a").write_text("old colouring\n")
+        os.link(tmp_path / "a", tmp_path / "b")
+        code, out, err = run_cli(capsys, "construct", "--n", "4", "--k", "3", "--seed", "1",
+                                 "--output", "a", "--trace", "b")
+        assert code == 2 and out == ""
+        assert "one file" in err
+        assert (tmp_path / "a").read_text() == "old colouring\n"
+
     def test_undecodable_input_exit_two(self, capsys, tmp_path):
         path = tmp_path / "undecodable.txt"
         path.write_bytes(b"\xff\xfe")

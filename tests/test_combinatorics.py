@@ -38,11 +38,6 @@ class TestProgression:
         assert list(prog.positions()) == [4, 7, 10]
         assert prog.last == 10
 
-    @pytest.mark.parametrize("start,diff,length", [(0, 1, 3), (1, 0, 3), (1, 1, 1)])
-    def test_invalid_fields(self, start, diff, length):
-        with pytest.raises(ParameterError):
-            Progression(start, diff, length)
-
 
 class TestEnumerate:
     def test_five_three(self):

@@ -2,6 +2,7 @@ import hashlib
 import statistics
 import warnings
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 
@@ -15,7 +16,6 @@ from rainbowcover import (
     construct_cover,
     make_rng,
     min_alpha,
-    random_coloring,
     rounds,
     verify_cover,
 )
@@ -91,36 +91,32 @@ class TestRounds:
 
 
 class TestRandomColoring:
+    """The uniform draw construct_cover makes for each candidate block."""
+
+    @staticmethod
+    def draw(N, n, seed, rng_name="philox"):
+        return make_rng(seed, rng_name).integers(1, n + 1, size=N).tolist()
+
     def test_single_colour(self):
-        col = random_coloring(12, 1, make_rng(0))
-        assert col.colors == (1,) * 12
+        assert self.draw(12, 1, 0) == [1] * 12
 
     def test_reproducible(self):
-        a = random_coloring(50, 6, make_rng(123))
-        b = random_coloring(50, 6, make_rng(123))
-        assert a == b
-        c = random_coloring(50, 6, make_rng(124))
-        assert a != c
+        a = self.draw(50, 6, 123)
+        assert a == self.draw(50, 6, 123)
+        assert a != self.draw(50, 6, 124)
 
     def test_rng_name_changes_stream(self):
-        a = random_coloring(50, 6, make_rng(123, "philox"))
-        b = random_coloring(50, 6, make_rng(123, "pcg64"))
-        assert a != b
+        assert self.draw(50, 6, 123, "philox") != self.draw(50, 6, 123, "pcg64")
 
     def test_empirical_uniformity(self):
         # each colour frequency within 5 sigma of N/n
         N, n = 100_000, 10
-        col = random_coloring(N, n, make_rng(2024))
-        counts = Counter(col.colors)
+        counts = Counter(self.draw(N, n, 2024))
         sigma = (N * (1 / n) * (1 - 1 / n)) ** 0.5
         for c in range(1, n + 1):
             assert abs(counts[c] - N / n) < 5 * sigma, c
 
     def test_parameter_errors(self):
-        with pytest.raises(ParameterError):
-            random_coloring(0, 3, make_rng(0))
-        with pytest.raises(ParameterError):
-            random_coloring(3, 0, make_rng(0))
         with pytest.raises(ParameterError):
             make_rng(0, "mt19937")
         with pytest.raises(ParameterError):
@@ -192,12 +188,35 @@ class TestConstructCover:
         assert len(colors) == length
         assert hashlib.sha256(" ".join(map(str, colors)).encode()).hexdigest() == digest
 
+    # colours and rounds pinned before the candidates were drawn straight from
+    # the generator; n = 7 is not a power of two, so each draw goes through
+    # numpy's bounded-integer path
+    @pytest.mark.parametrize("rng_name,colors,families", [
+        ("philox",
+         [1, 1, 7, 2, 3, 4, 5, 1, 2, 7, 5, 2, 4, 7, 4, 2, 4, 6, 7, 5, 5, 1, 3, 2, 4, 3, 5, 6,
+          1, 5, 1, 1, 5, 7, 1, 4, 3, 6, 5, 2, 2, 3, 4, 3, 1, 2, 1, 7, 7, 1, 7, 4, 6, 1, 7, 6,
+          1, 2, 1, 6, 6, 2, 4, 5],
+         [(35, 16), (16, 6), (6, 2), (2, 0)]),
+        ("pcg64",
+         [5, 4, 4, 7, 2, 6, 5, 1, 3, 7, 4, 1, 6, 6, 6, 2, 5, 5, 2, 3, 6, 5, 4, 3, 6, 3, 3, 7,
+          2, 2, 5, 5, 7, 4, 7, 6, 5, 2, 6, 1, 4, 3, 7, 2, 7, 1, 5, 5],
+         [(35, 10), (10, 5), (5, 0)]),
+    ])
+    def test_library_replay(self, rng_name, colors, families):
+        params = ConstructParams(seed=0, samples_per_round=3, rng_name=rng_name)
+        result = construct_cover(7, 3, params)
+        assert result.coloring.colors == tuple(colors)
+        assert [asdict(rec) for rec in result.trace.rounds] == [
+            {"round": i, "family_before": before, "family_after": after,
+             "coverage_fraction": (before - after) / before, "samples": 3}
+            for i, (before, after) in enumerate(families)]
+        assert result.trace.params is params
+
     def test_rounds_exhausted_carries_residual(self):
         params = ConstructParams(seed=1, samples_per_round=1, max_rounds=1)
         with pytest.raises(RoundsExhaustedError) as info:
             construct_cover(8, 3, params)
         exc = info.value
-        assert exc.rounds_used == 1
         assert exc.residual and all(cs.k == 3 for cs in exc.residual)
         assert exc.trace is not None and exc.trace.rounds_used == 1
 

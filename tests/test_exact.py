@@ -15,6 +15,7 @@ from rainbowcover import (
     lower_bound_N,
     verify_cover,
 )
+from rainbowcover import exact
 from rainbowcover.exact import _search
 
 # values certified by the exhaustive oracle (see test_agrees_with_oracle_mode)
@@ -46,6 +47,12 @@ class TestExistsCover:
         col = exists_cover(3, 3, 3)
         assert col is not None
         assert verify_cover(col, 3, 3).complete
+
+    def test_invalid_search_result_raises(self, monkeypatch):
+        # a colouring from the search is re-verified before it is returned
+        monkeypatch.setattr(exact, "_search", lambda n, k, N, budget: ((1, 1, 1), 1))
+        with pytest.raises(AssertionError, match="invalid witness"):
+            exists_cover(3, 3, 3)
 
     def test_four_three_five_refuted(self):
         # position 3 lies on all four 3-progressions of [5], so whatever its
