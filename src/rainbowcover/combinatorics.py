@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from operator import index
@@ -235,12 +236,16 @@ def hi_upper_bounds(N: int, k: int) -> tuple[int, ...]:
     return (comb(h, 2), h * k * k * N) + (comb(N, 2) * comb(comb(k, 2), 2),) * (k - 2)
 
 
+@lru_cache(maxsize=8)
 def colex_table(n: int, k: int) -> np.ndarray:
     """The comb table of rainbow_ranks: row j-1 holds C(c, j) for c = j-1, ...,
     n-k+j-1, the colex terms of the j-th smallest colour of a k-subset of [n], at
-    flat entry (j-1)(n-k) + c. No entry exceeds C(n,k)."""
-    return np.array([[comb(c, j) for c in range(j - 1, n - k + j)]
-                     for j in range(1, k + 1)], dtype=np.int64)
+    flat entry (j-1)(n-k) + c. No entry exceeds C(n,k). Cached per (n, k), so
+    the array is read-only."""
+    table = np.array([[comb(c, j) for c in range(j - 1, n - k + j)]
+                      for j in range(1, k + 1)], dtype=np.int64)
+    table.setflags(write=False)
+    return table
 
 
 def rainbow_ranks(colors: np.ndarray, positions: np.ndarray,

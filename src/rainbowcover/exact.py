@@ -2,7 +2,7 @@
 
 Positions are coloured left to right. A progression is finalized exactly once,
 at the step that colours its last element, so coverage is maintained
-incrementally with an undo list per assignment. Two accelerations:
+incrementally and undone on the way back. Three accelerations:
 
 * prefix-class prune: a progression not yet finalized can still cover at most
   one subset, a superset of the colour mask P of its coloured terms, and none
@@ -15,11 +15,18 @@ incrementally with an undo list per assignment. Two accelerations:
   there) from P to P + {c}, or to dead, where those starting there all leave
   the empty class for {c} as one block; finalizing one takes it out of its
   class and covers P + {c}; covering R lowers sup of each class inside R;
-  and each change moves B by the change in that one min term. Each mask
-  reached gets a class number, and the per-class state is kept in lists
-  indexed by it. No state is sized 2^n, and a cover costs 2^k steps only
-  where 2^k is at most the number of progressions, otherwise a scan of the
-  classes made so far, so the node budget bounds the work.
+  and each change moves B by the change in that one min term, which reads
+  only gap[P] = cnt[P] - sup[P]. Each mask reached gets a class number, and
+  the per-class gap is kept in a list indexed by it. No state is sized 2^n,
+  and a cover costs 2^k steps only where 2^k is at most the number of
+  progressions, otherwise a scan of the classes made so far, so the node
+  budget bounds the work.
+* cut before the covers: covering a k-set only lowers B, so once the
+  progressions ending at a position are finalized, the count covered, the
+  new k-sets they reach, B and the progressions not yet started bound what
+  the child can reach. When that falls short of C(n, k), the child's own
+  test would cut it, so the node skips its covers and the call. The node is
+  still counted and charged to the budget: no node count or witness changes.
 * symmetry breaking: colour classes are interchangeable, so the first
   occurrence of colour c is forced before the first occurrence of colour c+1.
 
@@ -99,27 +106,28 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
     # The class of each progression lives in a slot of `state`. Slot p < N
     # holds the class of {colour of position p}, which every progression
     # starting at p has after its first term, so those move as one block of
-    # starts[p]; from its second term on, progression j has slot N + j.
-    # through[i] lists (slot read, slot written) for each progression with a
-    # later term at i that is not its last, and ending[i] the slot read by
-    # each one that ends at i, both in progression order. Built with numpy:
-    # at long intervals a Python loop over the terms costs more than the
-    # search's first thousand nodes.
+    # starts[p]; each later term but the last gets a slot of its own, -1 once
+    # the progression is dead. through[i] lists (slot read, slot written) for
+    # each progression with a later term at i that is not its last, and
+    # ending[i] the slot read by each one that ends at i, both in progression
+    # order; a node writes no slot it reads, so its undo re-reads them. Built
+    # with numpy: at long intervals a Python loop over the terms costs more
+    # than the search's first thousand nodes.
     blocks = [p for _, _, p in progression_blocks(N, k)]
     pos = np.concatenate(blocks) if blocks else np.empty((0, k), dtype=np.int64)
     h = len(pos)
-    slots = np.arange(N, N + h)
+    slots = np.arange(N, N + h * (k - 2)).reshape(h, k - 2)
     reads = np.empty((h, k - 1), dtype=np.int64)  # the slot read at terms 1..k-1
     reads[:, 0] = pos[:, 0]
-    reads[:, 1:] = slots[:, None]
+    reads[:, 1:] = slots
     starts = np.bincount(pos[:, 0], minlength=N).tolist()
     mid = pos[:, 1:-1].ravel()
     order = np.argsort(mid, kind="stable")
     through = _split(list(zip(reads[:, :-1].ravel()[order].tolist(),
-                              np.repeat(slots, k - 2)[order].tolist())), mid, N)
+                              slots.ravel()[order].tolist())), mid, N)
     order = np.argsort(pos[:, -1], kind="stable")
     ending = _split(reads[order, -1].tolist(), pos[:, -1], N)
-    state = [0] * (N + h)
+    state = [0] * (N + h * (k - 2))
     # The progressions not started before position i form the empty class.
     # Its min term is min(unstarted[i], total - count), computed rather than
     # kept; where the second is the smaller, no cut can happen anyway, so
@@ -129,19 +137,18 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
         unstarted[i] = unstarted[i + 1] + starts[i]
 
     # Prefix classes, numbered as their masks are first reached: class P has
-    # colour mask masks[P], cnt[P] live unfinalized progressions and sup[P]
-    # uncovered k-sets containing it; child[P][c] is the class of masks[P]
-    # plus colour c, -1 if masks[P] has c, None until first asked for.
-    # If a k-set has at most h subsets (`eager`), its first cover makes a
-    # class of each, kept in subsets[R], at no more cost than a pass over the
-    # progressions; so a class made later has no covered superset. Otherwise
-    # a cover scans the classes made so far, and a new class counts its
-    # covered supersets. Either way the cost is not 2^n, nor 2^k for large k.
+    # colour mask masks[P] and gap[P] = cnt[P] - sup[P], its live unfinalized
+    # progressions less the uncovered k-sets containing it; child[P][c] is
+    # the class of masks[P] plus colour c, -1 if masks[P] has c, None until
+    # first asked for. If a k-set has at most h subsets (`eager`), its first
+    # cover makes a class of each, kept in subsets[R], at no more cost than a
+    # pass over the progressions; so a class made later has no covered
+    # superset. Otherwise a cover scans the classes made so far, and a new
+    # class counts its covered supersets. Neither costs 2^n, nor 2^k for large k.
     eager = 1 << k <= h
     index: dict[int, int] = {}
     masks: list[int] = []
-    cnt: list[int] = []
-    sup: list[int] = []
+    gap: list[int] = []
     child: list[Optional[list[Optional[int]]]] = []
     subsets: list[Optional[list[int]]] = []
     small: list[int] = []  # the nonempty classes with fewer than k colours
@@ -154,13 +161,12 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
         size = mask.bit_count()
         P = index[mask] = len(masks)
         masks.append(mask)
-        cnt.append(0)
         s = full[size]
         if 0 < size < k:
             small.append(P)
             if not eager:
                 s -= sum(masks[R] & mask == mask for R in covered)
-        sup.append(s)
+        gap.append(-s)
         child.append([None] * (n + 1) if size < k else None)
         subsets.append(None)
         return P
@@ -190,13 +196,13 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
     nodes = 0
 
     def rec(i: int, count: int, used_max: int) -> Optional[tuple[int, ...]]:
-        nonlocal nodes, bound
+        nonlocal nodes, bound  # at i = N, bound and unstarted[N] are 0: no i == N test
         if count == total:
             return tuple(colors[:i]) + (1,) * (N - i)
-        if i == N or count + bound + unstarted[i] < total:
+        if count + bound + unstarted[i] < total:
             return None
         top = min(used_max + 1, n)
-        s = starts[i]
+        s, moving, ends, need = starts[i], through[i], ending[i], total - unstarted[i + 1]
         for c in range(1, top + 1):
             nodes += 1
             if nodes > budget:
@@ -209,76 +215,80 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
             # numpy call per node would cost more than these loops, and the
             # child lookups are inlined because a call per progression costs
             # about a tenth of the search. Each change to cnt or sup moves
-            # bound by the change in its min term.
+            # bound by the change in its min term, read from the old gap.
             if s:
                 single = child[empty][c]
                 if single is None:
                     single = nxt(empty, c)
                 state[i] = single
-                m, u = cnt[single], sup[single]
-                cnt[single] = m + s
-                if m < u:
-                    bound += min(s, u - m)
-            moved = []
-            for a, b in through[i]:
+                g = gap[single]
+                gap[single] = g + s
+                if g < 0:
+                    bound += min(s, -g)
+            for a, b in moving:
                 P = state[a]
                 if P < 0:
+                    state[b] = -1
                     continue
-                moved.append((b, P))
                 Q = child[P][c]
                 if Q is None:
                     Q = nxt(P, c)
                 state[b] = Q
-                m = cnt[P]
-                cnt[P] = m - 1
-                if m <= sup[P]:
+                g = gap[P]
+                gap[P] = g - 1
+                if g <= 0:
                     bound -= 1
                 if Q >= 0:
-                    m = cnt[Q]
-                    cnt[Q] = m + 1
-                    if m < sup[Q]:
+                    g = gap[Q]
+                    gap[Q] = g + 1
+                    if g < 0:
                         bound += 1
-            ended = []
-            newly = []
-            for a in ending[i]:
+            fresh = []  # the distinct uncovered k-sets reached here
+            for a in ends:
                 P = state[a]
                 if P < 0:
                     continue
-                ended.append(P)
-                m = cnt[P]
-                cnt[P] = m - 1
-                if m <= sup[P]:
+                g = gap[P]
+                gap[P] = g - 1
+                if g <= 0:
                     bound -= 1
                 R = child[P][c]
                 if R is None:
                     R = nxt(P, c)
-                if R < 0 or R in covered:
-                    continue
-                covered.add(R)
-                newly.append(R)
-                # each class inside R loses R from its uncovered supersets
-                for S in subsets[R] or subsets_of(R):
-                    m = sup[S]
-                    sup[S] = m - 1
-                    if cnt[S] >= m:
-                        bound -= 1
-            found = rec(i + 1, count + len(newly), c if c > used_max else used_max)
-            if found is not None:
-                return found
-            for R in newly:
-                covered.discard(R)
-                for S in subsets[R] or subsets_of(R):
-                    sup[S] += 1
-            for P in ended:
-                cnt[P] += 1
-            for b, P in moved:
-                Q = state[b]
-                if Q >= 0:
-                    cnt[Q] -= 1
-                cnt[P] += 1
-                state[b] = P
+                if R >= 0 and R not in covered and R not in fresh:
+                    fresh.append(R)
+            reached = count + len(fresh)
+            # covers only lower bound, so when this falls short the child
+            # would be cut at entry: skip its covers and the call
+            if reached + bound >= need:
+                for R in fresh:
+                    covered.add(R)
+                    # each class inside R loses R from its uncovered supersets
+                    for S in subsets[R] or subsets_of(R):
+                        g = gap[S]
+                        gap[S] = g + 1
+                        if g >= 0:
+                            bound -= 1
+                found = rec(i + 1, reached, c if c > used_max else used_max)
+                if found is not None:
+                    return found
+                for R in fresh:
+                    covered.discard(R)
+                    for S in subsets[R] or subsets_of(R):
+                        gap[S] -= 1
+            for a in ends:
+                P = state[a]
+                if P >= 0:
+                    gap[P] += 1
+            for a, b in moving:
+                P = state[a]
+                if P >= 0:
+                    Q = state[b]
+                    if Q >= 0:
+                        gap[Q] -= 1
+                    gap[P] += 1
             if s:
-                cnt[single] -= s
+                gap[single] -= s
             bound = saved
         colors[i] = 0
         return None

@@ -203,6 +203,14 @@ class TestSubsetRanking:
                 assert sorted(ranks.tolist()) == list(range(comb(n, k)))
                 assert np.array_equal(colex_unrank(ranks, table), combos)
 
+    def test_colex_table_cached_read_only(self):
+        # every ColorSet built at (n, k) shares one table, so none may write it
+        table = colex_table(20, 3)
+        assert colex_table(20, 3) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
     def test_rank_independent_of_n(self):
         assert ColorSet.from_colors([2, 3, 5], 5) == ColorSet.from_colors([2, 3, 5], 16)
 

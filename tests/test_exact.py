@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -197,6 +197,31 @@ def test_search_matches_prefix_bound_oracle(case):
     assert _search(n, k, N, 10**6) == oracles.prefix_bound_search(n, k, N)
     if n**N <= 2**16:
         assert (exists_cover(n, k, N) is None) == (oracles.exhaustive_dfs(n, k, N)[0] is None)
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_instances())
+def test_budget_boundary(case):
+    # a budget of exactly the nodes visited settles the instance, one less
+    # runs out at that last node: children cut before their covers still
+    # count as nodes and are charged to the budget
+    n, k, N = case
+    found, nodes = _search(n, k, N, 10**6)
+    assume(nodes >= 1)
+    assert _search(n, k, N, nodes) == (found, nodes)
+    with pytest.raises(BudgetExceededError) as info:
+        _search(n, k, N, nodes - 1)
+    assert info.value.nodes_explored == nodes
+
+
+# refutations past the oracles' reach, with the node counts in the README;
+# k = 5 is where most children are cut before their covers are made
+KNOWN_REFUTATIONS = {(7, 3, 14): 21_460, (7, 4, 17): 16_273, (7, 5, 17): 98_792}
+
+
+@pytest.mark.parametrize("case", sorted(KNOWN_REFUTATIONS), ids="n{0[0]}-k{0[1]}-N{0[2]}".format)
+def test_known_refutations_beyond_the_oracle(case):
+    assert _search(*case, 10**6) == (None, KNOWN_REFUTATIONS[case])
 
 
 # ac(7,4) = 20: _search(7, 4, 19) refutes N = 19, and this colouring covers [20]
