@@ -1,13 +1,14 @@
 """Randomized block construction of covering colourings.
 
 The builder colours blocks of a fixed length, one round at a time. Each round
-draws a handful of independent uniform colourings of the block, scores every
-candidate by how many still-uncovered colour subsets it realizes on its own,
-keeps the best one, and strikes the newly covered subsets from the family.
-The output is the concatenation of the chosen blocks; a run succeeds when the
-family is empty, and the result is always re-checkable with verify_cover (the
-concatenation can only cover more than the blocks did in isolation, since
-progressions across block boundaries are ignored while scoring).
+draws a handful of independent uniform colourings of the block, scatters the
+colex ranks of each candidate's rainbow progressions into a copy of the
+uncovered family, with no sort, and keeps the first candidate whose copy has
+the fewest subsets left: that copy becomes the family. The output is the
+concatenation of the chosen blocks; a run succeeds when the family is empty,
+and the result is always re-checkable with verify_cover (the concatenation
+can only cover more than the blocks did in isolation, since progressions
+across block boundaries are ignored while scoring).
 """
 
 from __future__ import annotations
@@ -182,32 +183,37 @@ def construct_cover(n: int, k: int, params: ConstructParams) -> ConstructResult:
     positions = np.concatenate([p for _, _, p in progression_blocks(length, k)])
     trace = ConstructTrace(n=n, k=k, params=params, block_length=length)
 
-    uncovered = np.ones(total, dtype=bool)
+    # family, best copy so far, candidate's copy: swapped, never reallocated; the
+    # entry past the family stays False, and a repeated colour's rank -1 lands there
+    uncovered, kept, scratch = (np.ones(total + 1, dtype=bool) for _ in range(3))
+    uncovered[-1] = False
+    before = total
     blocks: list[np.ndarray] = []
     for round_index in range(max_rounds):
-        before = int(np.count_nonzero(uncovered))
         if not before:
             break
-        best = best_hit = None
+        best = after = None
         for _ in range(params.samples_per_round):
             colors = rng.integers(1, n + 1, size=length)
             ranks = rainbow_ranks(colors, positions, table)
-            ranks = ranks[ranks >= 0]
-            hit = np.unique(ranks[uncovered[ranks]])
-            if best is None or len(hit) > len(best_hit):
-                best, best_hit = colors, hit
-        uncovered[best_hit] = False
+            np.copyto(scratch, uncovered)
+            scratch[ranks] = False
+            left = int(np.count_nonzero(scratch))
+            if best is None or left < after:
+                best, after, kept, scratch = colors, left, scratch, kept
+        uncovered, kept = kept, uncovered
         blocks.append(best)
         trace.rounds.append(RoundRecord(
             round=round_index,
             family_before=before,
-            family_after=before - len(best_hit),
-            coverage_fraction=len(best_hit) / before,
+            family_after=after,
+            coverage_fraction=(before - after) / before,
             samples=params.samples_per_round))
+        before = after
 
     trace.rounds_used = len(blocks)
     trace.final_length = len(blocks) * length
-    if uncovered.any():
+    if before:
         residual = ColorSetView(np.flatnonzero(uncovered), n, k)
         raise RoundsExhaustedError(
             f"{len(residual)} of {total} subsets still uncovered after "

@@ -88,29 +88,37 @@ def covered_family(coloring: Coloring, k: int,
     """Scan every k-progression of the domain and mark each rainbow colour set.
 
     The progressions are ranked one block of progression_blocks at a time, and
-    the scan stops after the block that completes the family. Within a block,
-    the witness of a newly covered rank is its first progression there, hence
-    its first in enumeration order.
+    a block's ranks not yet covered are scattered into the family. Their
+    number bounds the subsets the block adds, so the family is counted only
+    when the bound reaches C(n,k), and the scan stops after the block that
+    completes it. A witness is the first progression of its rank within the
+    block that first covers it, hence its first in enumeration order: only
+    these new ranks are sorted, stably, and only when witnesses are recorded.
     """
     n = coloring.n
     total = _check_family_size(n, k)
     colors = np.array(coloring.colors)
     table = colex_table(n, k)
     covered = np.zeros(total, dtype=bool)
-    count = 0
+    bound = 0  # covered subsets at most: a block's fresh ranks may repeat
     witnesses: Optional[dict[int, Progression]] = {} if record_witnesses else None
     for diffs, starts, positions in progression_blocks(coloring.N, k):
-        ranks, first = np.unique(rainbow_ranks(colors, positions, table), return_index=True)
-        new = (ranks >= 0) & ~covered[ranks]
-        ranks, first = ranks[new], first[new]
-        covered[ranks] = True
-        count += len(ranks)
+        ranks = rainbow_ranks(colors, positions, table)
+        fresh = np.flatnonzero(ranks >= 0)
+        fresh = fresh[~covered[ranks[fresh]]]
+        ranks = ranks[fresh]
         if witnesses is not None:
+            ranks, first = np.unique(ranks, return_index=True)
+            fresh = fresh[first]
             witnesses.update(zip(ranks.tolist(), map(Progression._make, zip(
-                starts[first].tolist(), diffs[first].tolist(), repeat(k)))))
-        if count == total:
-            break
-    return CoverageReport(n, k, covered, count, witnesses)
+                starts[fresh].tolist(), diffs[fresh].tolist(), repeat(k)))))
+        covered[ranks] = True
+        bound += len(ranks)
+        if bound >= total:
+            bound = int(np.count_nonzero(covered))
+            if bound == total:
+                break
+    return CoverageReport(n, k, covered, int(np.count_nonzero(covered)), witnesses)
 
 
 def verify_cover(coloring: Coloring, n: int, k: int,

@@ -12,6 +12,8 @@ import itertools
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 
 def progression_terms(start: int, diff: int, k: int) -> tuple[int, ...]:
     return tuple(start + j * diff for j in range(k))
@@ -59,6 +61,59 @@ def first_witnesses(colors: tuple[int, ...], k: int) -> dict[frozenset[int], tup
         if len(set(values)) == k:
             first.setdefault(frozenset(values), (start, diff))
     return first
+
+
+def completing_difference(colors: tuple[int, ...], n: int, k: int):
+    """Least d such that the progressions of common difference at most d
+    already cover every colour k-subset of [n], or None when nothing does."""
+    N, found = len(colors), set()
+    for start, diff in progressions(N, k):
+        values = [colors[p - 1] for p in progression_terms(start, diff, k)]
+        if len(set(values)) == k:
+            found.add(frozenset(values))
+            if len(found) == comb(n, k):
+                return diff
+    return None
+
+
+def construct_cover(n: int, k: int, length: int, max_rounds: int,
+                    samples_per_round: int, rng: np.random.Generator):
+    """(colours, round records, residual ranks) of the block construction.
+
+    The rounds and draws of the package's construct_cover, given its block
+    length, round limit and generator; each candidate is ranked one
+    progression at a time and scored by np.unique over the still-uncovered
+    ranks it hits, and the first best candidate of a round is kept. The
+    records are RoundRecord fields as dicts; the residual is the colex ranks
+    left uncovered, empty on success.
+    """
+    progs = [progression_terms(s, d, k) for s, d in progressions(length, k)]
+    uncovered = np.ones(comb(n, k), dtype=bool)
+    blocks, records = [], []
+    for round_index in range(max_rounds):
+        before = int(np.count_nonzero(uncovered))
+        if not before:
+            break
+        best = best_hit = None
+        for _ in range(samples_per_round):
+            colors = rng.integers(1, n + 1, size=length)
+            values = [[int(colors[p - 1]) for p in terms] for terms in progs]
+            ranks = np.array([subset_rank(v) if len(set(v)) == k else -1 for v in values],
+                             dtype=np.int64)
+            ranks = ranks[ranks >= 0]
+            hit = np.unique(ranks[uncovered[ranks]])
+            if best is None or len(hit) > len(best_hit):
+                best, best_hit = colors, hit
+        uncovered[best_hit] = False
+        blocks.append(best)
+        records.append({
+            "round": round_index,
+            "family_before": before,
+            "family_after": before - len(best_hit),
+            "coverage_fraction": len(best_hit) / before,
+            "samples": samples_per_round})
+    return ([c for block in blocks for c in block.tolist()], records,
+            np.flatnonzero(uncovered).tolist())
 
 
 def subset_rank(colors) -> int:

@@ -5,6 +5,8 @@ from collections import Counter
 from dataclasses import asdict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from rainbowcover import (
@@ -182,6 +184,11 @@ class TestConstructCover:
          "dea05ff3720a850e4bba9db96684e575a215915dd8170cb89213b900b138c445"),
         (8, 4, 2, "philox", 96,
          "311b7e9469e4746fc1dba2dcccc0aa9e2b70a433f9c2fc74180659eeea68bdc3"),
+        # pinned while candidates were still scored by np.unique
+        (100, 3, 0, "philox", 9804,
+         "6de613f46f0accf54e2a9aa475ae605107648e96d57335a9fef55782d4c77758"),
+        (40, 4, 0, "philox", 8800,
+         "ca5e4eba9aad3808950af639e4863f49fa77798447cb43b96d57d1712b722f69"),
     ])
     def test_seed_replay(self, n, k, seed, rng_name, length, digest):
         colors = construct_cover(n, k, ConstructParams(seed=seed, rng_name=rng_name)).coloring.colors
@@ -248,3 +255,36 @@ class TestConstructCover:
             print(f"note: first-round coverage median {median:.3f} below the "
                   f"0.4 expectation (small-n effect, not a failure)")
         assert median >= 0.25
+
+
+@st.composite
+def small_constructions(draw):
+    """(n, k, params) small enough for the oracle; ties between candidates are common."""
+    n = draw(st.integers(3, 9))
+    k = draw(st.integers(2, min(4, n)))
+    params = ConstructParams(seed=draw(st.integers(0, 2**32)),
+                             samples_per_round=draw(st.integers(1, 4)),
+                             max_rounds=draw(st.integers(1, 3)),
+                             rng_name=draw(st.sampled_from(["philox", "pcg64"])))
+    return n, k, params
+
+
+@settings(deadline=None)
+@given(small_constructions())
+@example((3, 3, ConstructParams(seed=0, samples_per_round=4, max_rounds=1)))
+@example((9, 4, ConstructParams(seed=1, samples_per_round=4, max_rounds=3, rng_name="pcg64")))
+def test_construct_matches_oracle(case):
+    # a tie between candidates keeps the earlier one, as in the oracle's np.unique scoring
+    n, k, params = case
+    colors, records, residual = oracles.construct_cover(
+        n, k, block_length(n, k), params.max_rounds, params.samples_per_round,
+        make_rng(params.seed, params.rng_name))
+    try:
+        result = construct_cover(n, k, params)
+    except RoundsExhaustedError as exc:
+        assert exc.residual.ranks.tolist() == residual and residual
+        trace = exc.trace
+    else:
+        assert list(result.coloring.colors) == colors and not residual
+        trace = result.trace
+    assert [asdict(rec) for rec in trace.rounds] == records

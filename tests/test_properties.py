@@ -20,13 +20,15 @@ from rainbowcover import (
     FAMILY_SIZE_LIMIT,
     ColorSet,
     Coloring,
+    ConstructParams,
+    construct_cover,
     count_intersecting_pairs,
     covered_family,
     estimate_cover_probability,
     make_rng,
     verify_cover,
 )
-from rainbowcover import bounds, combinatorics
+from rainbowcover import bounds, combinatorics, coverage
 from rainbowcover.combinatorics import (
     BLOCK_ROWS,
     NETWORK_MAX_K,
@@ -287,6 +289,37 @@ def test_witnesses_first_across_blocks():
     report = covered_family(Coloring(colors, 40), 3, record_witnesses=True)
     assert report.covered_count < report.total
     assert witness_pairs(report) == oracles.first_witnesses(colors, 3)
+
+
+@st.composite
+def covers_and_prefixes(draw):
+    """(n, k, colors): a small constructed cover, or a prefix of one that may
+    or may not still cover."""
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(2, min(4, n)))
+    colors = construct_cover(n, k, ConstructParams(seed=draw(st.integers(0, 99)))).coloring.colors
+    return n, k, colors[:draw(st.integers(1, len(colors)))]
+
+
+@settings(deadline=None)
+@given(st.one_of(covers_and_prefixes(), colourings()))
+@example((6, 3, (1, 2, 3, 4, 5, 6, 1, 3, 5, 2, 4, 6)))  # no d completes the family
+def test_scan_stops_at_the_completing_difference(case):
+    # one block per common difference, so the blocks ranked are the differences scanned
+    n, k, colors = case
+    d = oracles.completing_difference(colors, n, k)
+    scanned = d if d is not None else (len(colors) - 1) // (k - 1)
+    expected, first = oracles.covered_sets(colors, k), oracles.first_witnesses(colors, k)
+    for record in (False, True):
+        with mock.patch.object(combinatorics, "BLOCK_ROWS", 1), mock.patch.object(
+                coverage, "rainbow_ranks", wraps=rainbow_ranks) as ranked:
+            report = covered_family(Coloring(colors, n), k, record_witnesses=record)
+        assert ranked.call_count == scanned, record
+        assert {frozenset(oracles.subset_unrank(r, k))
+                for r in np.flatnonzero(report.covered).tolist()} == expected
+        assert report.covered_count == len(expected)
+        if record:
+            assert witness_pairs(report) == first
 
 
 @st.composite
