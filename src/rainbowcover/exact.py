@@ -16,8 +16,13 @@ incrementally and undone on the way back. Three accelerations:
   the empty class for {c} as one block; finalizing one takes it out of its
   class and covers P + {c}; covering R lowers sup of each class inside R;
   and each change moves B by the change in that one min term, which reads
-  only gap[P] = cnt[P] - sup[P]. Each mask reached gets a class number, and
-  the per-class gap is kept in a list indexed by it. No state is sized 2^n,
+  only gap[P] = cnt[P] - sup[P]. So B is a function of the gaps alone, the
+  same whatever order the changes come in, and a node splits them in two:
+  each live progression through the position leaves its class P once, before
+  the colours are tried, and is undone once after the last; only the
+  arrivals in P + {c}, and the k-sets reached by those ending there, are
+  made per colour c. Each mask reached gets a class number, and the
+  per-class gap is kept in a list indexed by it. No state is sized 2^n,
   and a cover costs 2^k steps only where 2^k is at most the number of
   progressions, otherwise a scan of the classes made so far, so the node
   budget bounds the work.
@@ -25,8 +30,10 @@ incrementally and undone on the way back. Three accelerations:
   progressions ending at a position are finalized, the count covered, the
   new k-sets they reach, B and the progressions not yet started bound what
   the child can reach. When that falls short of C(n, k), the child's own
-  test would cut it, so the node skips its covers and the call. The node is
-  still counted and charged to the budget: no node count or witness changes.
+  test would cut it, so the node skips its covers and the call. Each arrival
+  raises B by one at most, so the node first tests B after the leave plus
+  one per arriving progression, and makes the arrivals only if that passes. A cut node is still counted and charged to the budget: no node
+  count or witness changes, only the order in which classes get numbers.
 * symmetry breaking: colour classes are interchangeable, so the first
   occurrence of colour c is forced before the first occurrence of colour c+1.
 
@@ -110,9 +117,9 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
     # the progression is dead. through[i] lists (slot read, slot written) for
     # each progression with a later term at i that is not its last, and
     # ending[i] the slot read by each one that ends at i, both in progression
-    # order; a node writes no slot it reads, so its undo re-reads them. Built
-    # with numpy: at long intervals a Python loop over the terms costs more
-    # than the search's first thousand nodes.
+    # order; a node writes no slot it reads, so it reads them once for all
+    # its colours. Built with numpy: at long intervals a Python loop over the
+    # terms costs more than the search's first thousand nodes.
     blocks = [p for _, _, p in progression_blocks(N, k)]
     pos = np.concatenate(blocks) if blocks else np.empty((0, k), dtype=np.int64)
     h = len(pos)
@@ -202,7 +209,36 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
         if count + bound + unstarted[i] < total:
             return None
         top = min(used_max + 1, n)
-        s, moving, ends, need = starts[i], through[i], ending[i], total - unstarted[i + 1]
+        s, need, entry = starts[i], total - unstarted[i + 1], bound
+        # Scalar on purpose: a node touches only a few progressions, so a
+        # numpy call per node would cost more than these loops, and the
+        # child lookups are inlined because a call per progression costs
+        # about a tenth of the search. Each change to cnt or sup moves bound
+        # by the change in its min term, read from the old gap, so bound is a
+        # function of the gaps alone and the order of the changes is free.
+        # Leave, whatever the colour: each live progression through i leaves
+        # its class P, once for all colours and undone once after them.
+        moves = []  # (P, slot written) of each live one with a later term here
+        for a, b in through[i]:
+            P = state[a]
+            if P < 0:
+                state[b] = -1
+                continue
+            moves.append((P, b))
+            g = gap[P]
+            gap[P] = g - 1
+            if g <= 0:
+                bound -= 1
+        ends = []  # P of each live one ending here
+        for a in ending[i]:
+            P = state[a]
+            if P >= 0:
+                ends.append(P)
+                g = gap[P]
+                gap[P] = g - 1
+                if g <= 0:
+                    bound -= 1
+        saved = bound
         for c in range(1, top + 1):
             nodes += 1
             if nodes > budget:
@@ -210,12 +246,20 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
                     f"node budget {budget} exhausted at interval length {N}",
                     nodes_explored=nodes)
             colors[i] = c
-            saved = bound
-            # Scalar on purpose: a node touches only a few progressions, so a
-            # numpy call per node would cost more than these loops, and the
-            # child lookups are inlined because a call per progression costs
-            # about a tenth of the search. Each change to cnt or sup moves
-            # bound by the change in its min term, read from the old gap.
+            fresh = []  # the distinct uncovered k-sets P + {c} reached here
+            for P in ends:
+                R = child[P][c]
+                if R is None:
+                    R = nxt(P, c)
+                if R >= 0 and R not in covered and R not in fresh:
+                    fresh.append(R)
+            reached = count + len(fresh)
+            # the arrivals below raise bound by one each at most: when even
+            # that falls short, the child is cut without making them
+            if reached + saved + s + len(moves) < need:
+                continue
+            # arrive: the starts join {c} as one block, and each moving one
+            # joins P + {c}, or is dead if P has c
             if s:
                 single = child[empty][c]
                 if single is None:
@@ -225,39 +269,16 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
                 gap[single] = g + s
                 if g < 0:
                     bound += min(s, -g)
-            for a, b in moving:
-                P = state[a]
-                if P < 0:
-                    state[b] = -1
-                    continue
+            for P, b in moves:
                 Q = child[P][c]
                 if Q is None:
                     Q = nxt(P, c)
                 state[b] = Q
-                g = gap[P]
-                gap[P] = g - 1
-                if g <= 0:
-                    bound -= 1
                 if Q >= 0:
                     g = gap[Q]
                     gap[Q] = g + 1
                     if g < 0:
                         bound += 1
-            fresh = []  # the distinct uncovered k-sets reached here
-            for a in ends:
-                P = state[a]
-                if P < 0:
-                    continue
-                g = gap[P]
-                gap[P] = g - 1
-                if g <= 0:
-                    bound -= 1
-                R = child[P][c]
-                if R is None:
-                    R = nxt(P, c)
-                if R >= 0 and R not in covered and R not in fresh:
-                    fresh.append(R)
-            reached = count + len(fresh)
             # covers only lower bound, so when this falls short the child
             # would be cut at entry: skip its covers and the call
             if reached + bound >= need:
@@ -276,20 +297,18 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
                     covered.discard(R)
                     for S in subsets[R] or subsets_of(R):
                         gap[S] -= 1
-            for a in ends:
-                P = state[a]
-                if P >= 0:
-                    gap[P] += 1
-            for a, b in moving:
-                P = state[a]
-                if P >= 0:
-                    Q = state[b]
-                    if Q >= 0:
-                        gap[Q] -= 1
-                    gap[P] += 1
+            for P, b in moves:
+                Q = state[b]
+                if Q >= 0:
+                    gap[Q] -= 1
             if s:
                 gap[single] -= s
             bound = saved
+        for P, _ in moves:
+            gap[P] += 1
+        for P in ends:
+            gap[P] += 1
+        bound = entry
         colors[i] = 0
         return None
 

@@ -161,6 +161,12 @@ class TestAcExact:
         assert exc.refuted_up_to == lower_bound_N(5, 3) - 1
         assert exc.nodes_explored is not None
 
+    def test_budget_error_at_a_long_interval(self):
+        # N = 200, where about 30 progressions run through each position
+        with pytest.raises(BudgetExceededError) as info:
+            ac_exact(40, 3, SearchConfig(node_budget=1000))
+        assert (info.value.nodes_explored, info.value.refuted_up_to) == (1001, 199)
+
     def test_max_N_ceiling(self):
         with pytest.raises(BudgetExceededError) as info:
             ac_exact(4, 3, SearchConfig(max_N=5))
@@ -192,6 +198,9 @@ def small_instances(draw):
 @example((6, 4, 11))
 @example((5, 3, 10))
 @example((4, 4, 13))
+# small_instances draws k <= 4: a cover at k = 5, and a refutation
+@example((6, 5, 11))
+@example((7, 5, 15))
 def test_search_matches_prefix_bound_oracle(case):
     n, k, N = case
     assert _search(n, k, N, 10**6) == oracles.prefix_bound_search(n, k, N)
@@ -201,6 +210,8 @@ def test_search_matches_prefix_bound_oracle(case):
 
 @settings(deadline=None, max_examples=40)
 @given(small_instances())
+@example((6, 5, 11))
+@example((7, 5, 15))
 def test_budget_boundary(case):
     # a budget of exactly the nodes visited settles the instance, one less
     # runs out at that last node: children cut before their covers still
@@ -243,13 +254,21 @@ def test_ac_7_5():
     assert len(oracles.covered_sets(result.witness.colors, 5)) == 21  # C(7, 5)
 
 
+# refutations taking seconds to minutes, with the node counts in the README
+SLOW_REFUTATIONS = {(7, 3, 15): 1_025_165, (7, 4, 18): 709_515, (7, 4, 19): 27_000_036}
+
+
 @pytest.mark.slow
-def test_7_4_refuted_at_19():
-    assert _search(7, 4, 19, 10**9) == (None, 27_000_036)
+@pytest.mark.parametrize("case", sorted(SLOW_REFUTATIONS), ids="n{0[0]}-k{0[1]}-N{0[2]}".format)
+def test_slow_refutations(case):
+    assert _search(*case, 10**9) == (None, SLOW_REFUTATIONS[case])
 
 
 @pytest.mark.slow
 def test_ac_7_3():
+    # N = 13..15 refuted in 138 / 21,460 / 1,025,165 nodes, N = 16 found after 11,747,051
     result = ac_exact(7, 3)
     assert result.value == 16 and result.refuted_up_to == 15
+    assert result.nodes_explored == 12_793_814
+    assert result.witness.colors == (1, 2, 3, 3, 4, 5, 6, 7, 1, 7, 5, 4, 2, 3, 6, 1)
     assert verify_cover(result.witness, 7, 3).complete
