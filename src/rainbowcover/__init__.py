@@ -17,6 +17,7 @@ from .coverage import (
     Coloring,
     CoverageReport,
     VerifyResult,
+    WitnessView,
     covered_family,
     format_coloring,
     parse_coloring_text,

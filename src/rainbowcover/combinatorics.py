@@ -149,7 +149,9 @@ def progression_blocks(N: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray,
     all progressions of a run of consecutive differences, as many as fit in
     BLOCK_ROWS rows (at least one difference), as (diffs, starts, positions):
     the common difference and 1-based start of each row, and the (m, k) array
-    of its 0-based terms.
+    of its 0-based terms. positions is column-major, the transpose of a
+    C-ordered (k, m) array, so its .T is contiguous, and so is the .T of a
+    concatenation of blocks: rainbow_ranks gathers by it without a copy.
     """
     _check_interval(N, k)
 
@@ -163,8 +165,13 @@ def progression_blocks(N: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray,
                 hi += 1
             counts = N - (k - 1) * np.arange(lo, hi)
             diffs = np.repeat(np.arange(lo, hi), counts)
-            starts = np.concatenate([np.arange(1, c + 1) for c in counts])
-            yield diffs, starts, (starts - 1)[:, None] + diffs[:, None] * np.arange(k)
+            # term j of every row is row j of one buffer, one add per term
+            terms = np.empty((k, rows), dtype=np.int64)
+            np.subtract(np.arange(rows), np.repeat(np.cumsum(counts) - counts, counts),
+                        out=terms[0])
+            for j in range(1, k):
+                np.add(terms[j - 1], diffs, out=terms[j])
+            yield diffs, terms[0] + 1, terms.T
             lo = hi
 
     return gen()
@@ -202,14 +209,15 @@ def count_intersecting_pairs(N: int, k: int) -> PairIntersectionCounts:
         raise BudgetExceededError(
             f"pair tallies need {entries} gathered entries (h = {h}), "
             f"over the limit {PAIR_ENTRY_LIMIT}")
-    m = sum(np.bincount(positions.ravel(), minlength=N)
+    m = sum(np.bincount(positions.T.ravel(), minlength=N)
             for _, _, positions in progression_blocks(N, k))
     # the m_T sum to k*h and are at most h, so the int64 sum stays below k*h^2
     moments, dtype = [comb(h, 2), int((m * (m - 1)).sum()) // 2], np.min_scalar_type(N)
     for j in range(2, k):
         cols = np.array(list(combinations(range(k), j)))
-        # a C-ordered (j, rows) array of the j-subsets' positions in the least dtype
-        keys = np.concatenate([positions[:, cols].reshape(-1, j).T.astype(dtype, order="C")
+        # a C-ordered (j, rows) array of the j-subsets' positions in the least dtype,
+        # gathered from the contiguous terms-by-row positions.T; row order is free
+        keys = np.concatenate([positions.T[cols.T].reshape(j, -1).astype(dtype)
                                for _, _, positions in progression_blocks(N, k)], axis=1)
         rows = keys[:, np.lexsort(keys)]
         starts = np.r_[True, (rows[:, 1:] != rows[:, :-1]).any(axis=0), True]
@@ -275,7 +283,11 @@ def rainbow_ranks(colors: np.ndarray, positions: np.ndarray,
     ranks = flat.take(cols[..., 0, :])
     for r in range(1, k):
         ranks += flat[r * step:].take(cols[..., r, :])
-    np.copyto(ranks, -1, where=(cols[..., 1:, :] <= cols[..., :-1, :]).any(axis=-2))
+    if k > 1:  # one colour has no neighbour to repeat
+        bad = cols[..., 1, :] <= cols[..., 0, :]
+        for r in range(2, k):
+            bad |= cols[..., r, :] <= cols[..., r - 1, :]
+        np.copyto(ranks, -1, where=bad)
     return ranks
 
 

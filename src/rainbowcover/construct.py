@@ -26,7 +26,6 @@ from .combinatorics import (
     _check_family_size,
     _check_nk,
     colex_table,
-    count_progressions,
     progression_blocks,
     rainbow_ranks,
 )
@@ -181,11 +180,7 @@ def construct_cover(n: int, k: int, params: ConstructParams) -> ConstructResult:
     max_rounds = params.max_rounds if params.max_rounds is not None else 4 * target_rounds
     rng = make_rng(params.seed, params.rng_name)
     table = colex_table(n, k)
-    # column-major, so the positions.T that rainbow_ranks gathers by is
-    # contiguous and no candidate copies it; concatenate keeps the layout of
-    # its inputs, so the (k, h) row-major buffer is passed in
-    positions = np.concatenate([p.T for _, _, p in progression_blocks(length, k)], axis=1,
-                               out=np.empty((k, count_progressions(length, k)), dtype=np.int64)).T
+    positions = np.concatenate([p for _, _, p in progression_blocks(length, k)])
     trace = ConstructTrace(n=n, k=k, params=params, block_length=length)
 
     # family, best copy so far, candidate's copy: swapped, never reallocated; the

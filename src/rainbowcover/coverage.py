@@ -9,6 +9,7 @@ one scatter and the uncovered ranks are one scan.
 from __future__ import annotations
 
 import re
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 from itertools import repeat
 from math import comb
@@ -56,6 +57,54 @@ class Coloring:
         return len(self.colors)
 
 
+class WitnessView(Mapping):
+    """Read-only map from each covered colex rank to the first k-progression,
+    in enumeration order, whose colours are that subset.
+
+    Held as three read-only int64 arrays sorted by rank: `ranks`, and the
+    `starts` and `diffs` of the progressions. Iteration yields the ranks in
+    ascending order; a Progression is built for an entry when it is read, and
+    items() and values() build them in one pass over the arrays.
+    """
+
+    def __init__(self, ranks: np.ndarray, starts: np.ndarray, diffs: np.ndarray, k: int):
+        self.ranks, self.starts, self.diffs = (a.view() for a in (ranks, starts, diffs))
+        for a in (self.ranks, self.starts, self.diffs):
+            a.flags.writeable = False
+        self.k = k
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ranks.tolist())
+
+    def __getitem__(self, rank: int) -> Progression:
+        # the bound keeps searchsorted off ranks that do not fit int64
+        if isinstance(rank, (int, np.integer)) and 0 <= rank < 1 << 63:
+            i = self.ranks.searchsorted(rank)
+            if i < len(self.ranks) and self.ranks[i] == rank:
+                return Progression(int(self.starts[i]), int(self.diffs[i]), self.k)
+        raise KeyError(rank)
+
+    def items(self) -> ItemsView:
+        return _WitnessItems(self)
+
+    def values(self) -> ValuesView:
+        return _WitnessValues(self)
+
+
+class _WitnessItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping.ranks.tolist(), self._mapping.values())
+
+
+class _WitnessValues(ValuesView):
+    def __iter__(self):
+        w = self._mapping
+        return map(Progression, w.starts.tolist(), w.diffs.tolist(), repeat(w.k))
+
+
 @dataclass
 class CoverageReport:
     """Coverage status of every k-subset of [n].
@@ -69,7 +118,7 @@ class CoverageReport:
     k: int
     covered: np.ndarray
     covered_count: int
-    witnesses: Optional[dict[int, Progression]] = None
+    witnesses: Optional[WitnessView] = None
 
     @property
     def total(self) -> int:
@@ -94,6 +143,8 @@ def covered_family(coloring: Coloring, k: int,
     completes it. A witness is the first progression of its rank within the
     block that first covers it, hence its first in enumeration order: only
     these new ranks are sorted, stably, and only when witnesses are recorded.
+    Each block's new ranks and their progressions' starts and differences are
+    kept as arrays, and sorted by rank once at the end.
     """
     n = coloring.n
     total = _check_family_size(n, k)
@@ -101,23 +152,27 @@ def covered_family(coloring: Coloring, k: int,
     table = colex_table(n, k)
     covered = np.zeros(total, dtype=bool)
     bound = 0  # covered subsets at most: a block's fresh ranks may repeat
-    witnesses: Optional[dict[int, Progression]] = {} if record_witnesses else None
+    found = [(np.empty(0, dtype=np.int64),) * 3]  # (ranks, starts, diffs) per block
     for diffs, starts, positions in progression_blocks(coloring.N, k):
         ranks = rainbow_ranks(colors, positions, table)
         fresh = np.flatnonzero(ranks >= 0)
         fresh = fresh[~covered[ranks[fresh]]]
         ranks = ranks[fresh]
-        if witnesses is not None:
+        if record_witnesses:
             ranks, first = np.unique(ranks, return_index=True)
             fresh = fresh[first]
-            witnesses.update(zip(ranks.tolist(), map(Progression._make, zip(
-                starts[fresh].tolist(), diffs[fresh].tolist(), repeat(k)))))
+            found.append((ranks, starts[fresh], diffs[fresh]))
         covered[ranks] = True
         bound += len(ranks)
         if bound >= total:
             bound = int(np.count_nonzero(covered))
             if bound == total:
                 break
+    witnesses = None
+    if record_witnesses:
+        ranks, starts, diffs = map(np.concatenate, zip(*found))
+        order = np.argsort(ranks)  # no rank is new in two blocks
+        witnesses = WitnessView(ranks[order], starts[order], diffs[order], k)
     return CoverageReport(n, k, covered, int(np.count_nonzero(covered)), witnesses)
 
 
@@ -188,10 +243,11 @@ def coverage_report_dict(coloring: Coloring, result: VerifyResult) -> dict:
         "total": report.total,
         "uncovered": result.uncovered.colors(),
     }
-    if report.witnesses is not None:
-        ranks = sorted(report.witnesses)
-        keys = ColorSetView(np.array(ranks, dtype=np.int64), report.n, report.k).colors()
+    witnesses = report.witnesses
+    if witnesses is not None:
+        keys = ColorSetView(witnesses.ranks, report.n, report.k).colors()
         out["witnesses"] = {
-            ",".join(map(str, colors)): report.witnesses[rank]._asdict()
-            for colors, rank in zip(keys, ranks)}
+            ",".join(map(str, colors)): {"start": start, "diff": diff, "length": report.k}
+            for colors, start, diff in zip(keys, witnesses.starts.tolist(),
+                                           witnesses.diffs.tolist())}
     return out

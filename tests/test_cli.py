@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from rainbowcover import cli
 from rainbowcover.combinatorics import ColorSetView
 
@@ -65,6 +66,29 @@ class TestVerify:
         validate(record, "verify")
         assert len(record["witnesses"]) == 20
         assert record["witnesses"]["2,5,6"] == {"start": 7, "diff": 1, "length": 3}
+
+    def test_witnesses_across_blocks_match_oracle(self, capsys, tmp_path):
+        # the 22350 progressions of [300] fill two blocks
+        colors = [(7 * i * i + 5 * i) % 40 + 1 for i in range(300)]
+        path = tmp_path / "wide.txt"
+        path.write_text(" ".join(map(str, colors)) + "\n")
+        code, out, _ = run_cli(capsys, "verify", "--input", str(path), "--n", "40", "--k", "3",
+                               "--witnesses", "--json")
+        first = sorted((oracles.subset_rank(s), sorted(s), w)
+                       for s, w in oracles.first_witnesses(tuple(colors), 3).items())
+        covered = {rank for rank, _, _ in first}
+        record = {
+            "command": "verify",
+            "params": {"input": str(path), "n": 40, "k": 3, "witnesses": True},
+            "n": 40, "k": 3, "N": 300, "complete": False,
+            "covered_count": len(first), "total": comb(40, 3),
+            "uncovered": [list(oracles.subset_unrank(r, 3)) for r in range(comb(40, 3))
+                          if r not in covered],
+            "witnesses": {",".join(map(str, c)): {"start": s, "diff": d, "length": 3}
+                          for _, c, (s, d) in first},
+        }
+        assert 0 < len(first) < comb(40, 3)
+        assert code == 1 and out == json.dumps(record, indent=2) + "\n"
 
     def test_incomplete_exit_one(self, capsys, tmp_path):
         path = tmp_path / "partial.txt"

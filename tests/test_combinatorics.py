@@ -46,6 +46,15 @@ class TestEnumerate:
         positions = np.concatenate([p for _, _, p in progression_blocks(5, 3)])
         assert (positions + 1).tolist() == [[1, 2, 3], [2, 3, 4], [3, 4, 5], [1, 3, 5]]
 
+    def test_blocks_are_column_major(self):
+        # rainbow_ranks gathers by positions.T, and construct by that of the
+        # concatenated blocks: both must be contiguous, or each call copies them
+        for N, k in [(5, 3), (300, 3), (400, 2), (120, 5)]:
+            blocks = [p for _, _, p in progression_blocks(N, k)]
+            assert all(p.dtype == np.int64 and p.T.flags.c_contiguous for p in blocks)
+            assert np.concatenate(blocks).T.flags.c_contiguous, (N, k)
+        assert len(list(progression_blocks(400, 2))) > 1
+
     def test_too_short_interval_is_empty(self):
         assert progression_list(3, 4) == []
 

@@ -21,6 +21,7 @@ from rainbowcover import (
     ColorSet,
     Coloring,
     ConstructParams,
+    Progression,
     construct_cover,
     count_intersecting_pairs,
     covered_family,
@@ -278,6 +279,32 @@ def test_witness_is_first_in_enumeration_order(case):
     for subset in oracles.all_subsets(n, k):
         prog = witnesses.get(ColorSet.from_colors(sorted(subset), n).rank)
         assert (None if prog is None else (prog.start, prog.diff)) == first.get(subset)
+
+
+@settings(deadline=None, max_examples=50)
+@given(colourings(), st.integers(1, 40))
+def test_witness_mapping_contract(case, rows):
+    # blocks of at most `rows` progressions, so most cases span several blocks
+    n, k, colors = case
+    with mock.patch.object(combinatorics, "BLOCK_ROWS", rows):
+        report = covered_family(Coloring(colors, n), k, record_witnesses=True)
+    witnesses = report.witnesses
+    covered = np.flatnonzero(report.covered).tolist()
+    assert list(witnesses) == list(witnesses.keys()) == covered
+    assert len(witnesses) == report.covered_count
+    assert witness_pairs(report) == oracles.first_witnesses(colors, k)
+    expected = {r: Progression(*witnesses[r]) for r in covered}
+    assert witnesses == expected and expected == witnesses
+    assert list(witnesses.items()) == list(expected.items())
+    assert list(witnesses.values()) == list(expected.values())
+    assert witnesses != {**expected, report.total: Progression(1, 1, k)}
+    for rank in [r for r in range(report.total) if not report.covered[r]] + [
+            -1, report.total, 1 << 70, "0"]:
+        assert witnesses.get(rank) is None and rank not in witnesses
+        with pytest.raises(KeyError):
+            witnesses[rank]
+    with pytest.raises(ValueError):
+        witnesses.ranks[:1] = 0
 
 
 def test_witnesses_first_across_blocks():
