@@ -87,7 +87,7 @@ def _write_files(texts: list[tuple[str, str]]) -> None:
 
 
 def cmd_verify(args) -> Outcome:
-    with open(args.input, "r", encoding="utf-8") as handle:
+    with open(args.input, "r", encoding="utf-8-sig") as handle:
         text = handle.read()
     values = parse_coloring_text(text)
     coloring = Coloring(tuple(values), args.n)

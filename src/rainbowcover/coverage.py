@@ -47,10 +47,11 @@ class Coloring:
             raise ParameterError(f"number of colours must be >= 1, got {self.n}")
         if len(self.colors) < 1:
             raise ParameterError("a colouring needs at least one position")
-        for i, c in enumerate(self.colors):
-            if not 1 <= c <= self.n:
-                raise ParameterError(
-                    f"colour {c} at position {i + 1} outside 1..{self.n}")
+        if min(self.colors) < 1 or max(self.colors) > self.n:
+            for i, c in enumerate(self.colors):  # name the first bad position
+                if not 1 <= c <= self.n:
+                    raise ParameterError(
+                        f"colour {c} at position {i + 1} outside 1..{self.n}")
 
     @property
     def N(self) -> int:
@@ -137,35 +138,47 @@ def covered_family(coloring: Coloring, k: int,
     """Scan every k-progression of the domain and mark each rainbow colour set.
 
     The progressions are ranked one block of progression_blocks at a time, and
-    a block's ranks not yet covered are scattered into the family. Their
-    number bounds the subsets the block adds, so the family is counted only
-    when the bound reaches C(n,k), and the scan stops after the block that
-    completes it. A witness is the first progression of its rank within the
-    block that first covers it, hence its first in enumeration order: only
-    these new ranks are sorted, stably, and only when witnesses are recorded.
-    Each block's new ranks and their progressions' starts and differences are
-    kept as arrays, and sorted by rank once at the end.
+    a block's ranks not yet covered are scattered into the family. It has one
+    spare entry past the C(n,k) subsets, always True, where the rank -1 of a
+    repeated colour reads as covered; the report leaves it out. The new ranks
+    bound the subsets the block adds, so the family is counted only when the
+    bound reaches C(n,k), and the scan stops after the block that completes it.
+    A witness is the first progression of its rank within the block that first
+    covers it, hence its first in enumeration order. Only when witnesses are
+    recorded are a block's new ranks sorted: each is packed above the bits of
+    its row index, so one plain sort orders them by rank and then by row, and
+    the first key of each rank's run is its witness. Each block's witness
+    ranks, starts and differences are kept as arrays, and sorted by rank once
+    at the end.
     """
     n = coloring.n
     total = _check_family_size(n, k)
     colors = np.array(coloring.colors)
     table = colex_table(n, k)
-    covered = np.zeros(total, dtype=bool)
+    covered = np.zeros(total + 1, dtype=bool)
+    covered[-1] = True
+    family = covered[:-1]
     bound = 0  # covered subsets at most: a block's fresh ranks may repeat
     found = [(np.empty(0, dtype=np.int64),) * 3]  # (ranks, starts, diffs) per block
     for diffs, starts, positions in progression_blocks(coloring.N, k):
         ranks = rainbow_ranks(colors, positions, table)
-        fresh = np.flatnonzero(ranks >= 0)
-        fresh = fresh[~covered[ranks[fresh]]]
+        fresh = np.flatnonzero(~covered[ranks])
         ranks = ranks[fresh]
         if record_witnesses:
-            ranks, first = np.unique(ranks, return_index=True)
-            fresh = fresh[first]
+            # rank < 2^32 (_check_family_size) and row < N, so for N < 2^31
+            # the keys fit in int64
+            shift = len(positions).bit_length()
+            keys = np.sort(ranks << shift | fresh)
+            ranks = keys >> shift
+            first = np.empty(len(keys), dtype=bool)
+            first[:1] = True
+            np.not_equal(ranks[1:], ranks[:-1], out=first[1:])
+            ranks, fresh = ranks[first], keys[first] & ((1 << shift) - 1)
             found.append((ranks, starts[fresh], diffs[fresh]))
         covered[ranks] = True
         bound += len(ranks)
         if bound >= total:
-            bound = int(np.count_nonzero(covered))
+            bound = int(np.count_nonzero(family))
             if bound == total:
                 break
     witnesses = None
@@ -173,7 +186,7 @@ def covered_family(coloring: Coloring, k: int,
         ranks, starts, diffs = map(np.concatenate, zip(*found))
         order = np.argsort(ranks)  # no rank is new in two blocks
         witnesses = WitnessView(ranks[order], starts[order], diffs[order], k)
-    return CoverageReport(n, k, covered, int(np.count_nonzero(covered)), witnesses)
+    return CoverageReport(n, k, family, int(np.count_nonzero(family)), witnesses)
 
 
 def verify_cover(coloring: Coloring, n: int, k: int,
@@ -195,30 +208,47 @@ def parse_coloring_text(text: str) -> list[int]:
     """Parse colour values from the text format.
 
     Values are whitespace-separated positive integers, on one line or many;
-    a line whose first non-blank character is '#' is a comment. Raises
-    ColoringFormatError with 1-based line/column diagnostics.
+    a line whose first non-blank character is '#' is a comment. Each line is
+    split with str.split and converted with int; a line where that fails or
+    gives a value below 1 is scanned again token by token, to raise
+    ColoringFormatError with 1-based line/column diagnostics for its first
+    bad token.
     """
     values: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.lstrip()
         if not stripped or stripped.startswith("#"):
             continue
-        for match in _TOKEN.finditer(line):
-            token = match.group()
-            column = match.start() + 1
-            try:
-                value = int(token)
-            except ValueError:
-                raise ColoringFormatError(
-                    f"line {lineno}, column {column}: {token!r} is not an integer",
-                    line=lineno, column=column) from None
-            if value < 1:
-                raise ColoringFormatError(
-                    f"line {lineno}, column {column}: colour {value} must be >= 1",
-                    line=lineno, column=column)
-            values.append(value)
+        try:
+            row = list(map(int, line.split()))
+        except ValueError:
+            row = []
+        if not row or min(row) < 1:
+            row = _scan_line(line, lineno)
+        values += row
     if not values:
         raise ColoringFormatError("no colour values found", line=1, column=1)
+    return values
+
+
+def _scan_line(line: str, lineno: int) -> list[int]:
+    """The values of one line, read token by token; raises at the first token
+    that is not an integer or is below 1."""
+    values = []
+    for match in _TOKEN.finditer(line):
+        token = match.group()
+        column = match.start() + 1
+        try:
+            value = int(token)
+        except ValueError:
+            raise ColoringFormatError(
+                f"line {lineno}, column {column}: {token!r} is not an integer",
+                line=lineno, column=column) from None
+        if value < 1:
+            raise ColoringFormatError(
+                f"line {lineno}, column {column}: colour {value} must be >= 1",
+                line=lineno, column=column)
+        values.append(value)
     return values
 
 

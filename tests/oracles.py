@@ -9,10 +9,23 @@ through its comb table.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from math import comb
 
 import numpy as np
+
+_TOKEN = re.compile(r"\S+")
+
+
+class ColoringFormatError(ValueError):
+    """parse_coloring_text's error, with the 1-based line/column of the bad
+    token; defined here so that the oracles import nothing of the package."""
+
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        super().__init__(message)
+        self.line = line
+        self.column = column
 
 
 def progression_terms(start: int, diff: int, k: int) -> tuple[int, ...]:
@@ -287,3 +300,34 @@ def prefix_bound_search(n: int, k: int, N: int):
         return None
 
     return rec(), nodes
+
+
+def parse_coloring_text(text: str) -> list[int]:
+    """Parse colour values from the text format.
+
+    Values are whitespace-separated positive integers, on one line or many;
+    a line whose first non-blank character is '#' is a comment. Raises
+    ColoringFormatError with 1-based line/column diagnostics.
+    """
+    values: list[int] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.lstrip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        for match in _TOKEN.finditer(line):
+            token = match.group()
+            column = match.start() + 1
+            try:
+                value = int(token)
+            except ValueError:
+                raise ColoringFormatError(
+                    f"line {lineno}, column {column}: {token!r} is not an integer",
+                    line=lineno, column=column) from None
+            if value < 1:
+                raise ColoringFormatError(
+                    f"line {lineno}, column {column}: colour {value} must be >= 1",
+                    line=lineno, column=column)
+            values.append(value)
+    if not values:
+        raise ColoringFormatError("no colour values found", line=1, column=1)
+    return values

@@ -122,6 +122,16 @@ class TestVerify:
         assert code == 2
         assert "line 2" in err and "column 3" in err
 
+    @pytest.mark.parametrize("text, code", [(GOLDEN_TEXT, 0), ("1 2 3 4\n", 1), ("1 x\n", 2)])
+    def test_byte_order_mark_ignored(self, capsys, tmp_path, text, code):
+        path = tmp_path / "colouring.txt"
+        argv = ("verify", "--input", str(path), "--n", "6", "--k", "3", "--witnesses")
+        path.write_text(text, encoding="utf-8")
+        plain = run_cli(capsys, *argv)
+        path.write_text(text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert run_cli(capsys, *argv) == plain and plain[0] == code
+
     def test_missing_file_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--input", "/nonexistent/f.txt",
                                "--n", "6", "--k", "3")

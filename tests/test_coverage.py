@@ -49,6 +49,8 @@ class TestColoring:
             Coloring((1, 3), 2)
         with pytest.raises(ParameterError):
             Coloring((0, 1), 2)
+        with pytest.raises(ParameterError, match=r"^colour 4 at position 3 outside 1\.\.3$"):
+            Coloring((1, 2, 4, 0, 5), 3)
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):

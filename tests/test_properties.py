@@ -6,6 +6,8 @@ import ast
 import hashlib
 import json
 import random
+import re
+import sys
 from math import comb
 from pathlib import Path
 from unittest import mock
@@ -40,6 +42,7 @@ from rainbowcover.combinatorics import (
     rainbow_ranks,
 )
 from rainbowcover.coverage import coverage_report_dict
+from rainbowcover.errors import ColoringFormatError
 
 
 @st.composite
@@ -316,6 +319,86 @@ def test_witnesses_first_across_blocks():
     report = covered_family(Coloring(colors, 40), 3, record_witnesses=True)
     assert report.covered_count < report.total
     assert witness_pairs(report) == oracles.first_witnesses(colors, 3)
+
+
+def unique_witnesses(colors, n, k):
+    """(ranks, starts, diffs) of each covered rank's first progression, by one
+    np.unique(return_index=True) over the ranks of every block up to the one
+    that completes the family, and the family itself."""
+    palette, table = np.array(colors), colex_table(n, k)
+    covered = np.zeros(comb(n, k), dtype=bool)
+    blocks = []
+    for diffs, starts, positions in progression_blocks(len(colors), k):
+        ranks = rainbow_ranks(palette, positions, table)
+        blocks.append((ranks, starts, diffs))
+        covered[ranks[ranks >= 0]] = True
+        if covered.all():
+            break
+    ranks, starts, diffs = map(np.concatenate, zip(*blocks))
+    rainbow = ranks >= 0
+    ranks, first = np.unique(ranks[rainbow], return_index=True)
+    return ranks, starts[rainbow][first], diffs[rainbow][first], covered
+
+
+def uniform(n, N, seed):
+    return tuple(np.random.default_rng(seed).integers(1, n + 1, size=N).tolist())
+
+
+@pytest.mark.parametrize("rows, n, k, colors", [
+    (1, 3, 2, (1, 2) * 4),  # the d = 3 block repeats {1, 2}: no rank is new
+    (1, 6, 3, uniform(6, 30, 1)),
+    (3, 6, 3, uniform(6, 30, 2)),
+    (3, 5, 4, uniform(5, 25, 3)),
+    (3, 4, 2, uniform(4, 12, 4)),
+    (BLOCK_ROWS, 200, 2, uniform(200, 16_400, 5)),  # blocks of 16,399 rows and fewer
+])
+def test_packed_witnesses_match_unique(rows, n, k, colors):
+    with mock.patch.object(combinatorics, "BLOCK_ROWS", rows):
+        report = covered_family(Coloring(colors, n), k, record_witnesses=True)
+        ranks, starts, diffs, covered = unique_witnesses(colors, n, k)
+    witnesses = report.witnesses
+    assert np.array_equal(witnesses.ranks, ranks)
+    assert np.array_equal(witnesses.starts, starts)
+    assert np.array_equal(witnesses.diffs, diffs)
+    assert np.array_equal(report.covered, covered)
+    assert len(report.covered) == comb(n, k)
+    assert report.covered_count == np.count_nonzero(report.covered)
+
+
+def test_packed_witness_cases_reach_their_edges():
+    # what the cases above rely on: a block of more than 2^14 rows, and a block
+    # whose rainbow ranks are all covered by an earlier one
+    assert len(next(progression_blocks(16_400, 2))[0]) == 16_399 > 1 << 14
+    colors = np.array((1, 2) * 4)
+    with mock.patch.object(combinatorics, "BLOCK_ROWS", 1):
+        ranks = [rainbow_ranks(colors, positions, colex_table(3, 2))
+                 for _, _, positions in progression_blocks(8, 2)]
+    assert np.all(ranks[2] == ranks[0][0]) and ranks[0][0] >= 0
+
+
+def test_split_and_regex_agree_on_whitespace():
+    # parse_coloring_text splits a line with str.split and names a bad token
+    # by its \S+ match: the two must split every code point alike
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert text.split() == re.findall(r"\S+", text)
+
+
+def parse_outcome(parse, error, text):
+    try:
+        return parse(text)
+    except error as exc:
+        return str(exc), exc.line, exc.column
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.text("0123456789#+-_x\u0663 \t\r\n\x0c\x85\u2003\u2028", max_size=40))
+@example("1 2\n3 x 4\n")
+@example("\u0663 1_0 +2\x85 # 3\n\u2003-0")
+@example("4\u20281 0 x")
+def test_parse_matches_regex_oracle(text):
+    # the same values, or the same message, line and column
+    assert (parse_outcome(coverage.parse_coloring_text, ColoringFormatError, text)
+            == parse_outcome(oracles.parse_coloring_text, oracles.ColoringFormatError, text))
 
 
 @st.composite
