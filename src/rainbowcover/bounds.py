@@ -13,12 +13,11 @@ covered:
 
 with h the progression count and h_i the pair-intersection tallies. The two
 leading terms nearly cancel at the block length used by the construction, so
-L is kept as an exact Fraction end to end; only the rendering is decimal.
+L is kept as an exact Fraction end to end; only the CLI's rendering is decimal.
 """
 
 from __future__ import annotations
 
-import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,11 +29,9 @@ import numpy as np
 from .combinatorics import (
     _check_interval,
     _check_nk,
-    colex_table,
     count_intersecting_pairs,
     count_progressions,
     hi_upper_bounds,
-    rainbow_ranks,
 )
 from .construct import block_length, make_rng, rounds
 from .errors import BudgetExceededError, ParameterError
@@ -94,7 +91,8 @@ def _cover_hits(draws: np.ndarray, n: int, k: int) -> np.ndarray:
     Colour c <= w = min(k, _WORD_BITS) is bit c-1, any other colour 0, held position-major
     so that per common difference the k slices of bits OR-ed are contiguous. Each term adds
     at most one bit, so for k <= w an OR of 2^k - 1 is each colour of R once; for k > w,
-    whose OR shows only colours 1..w, each pass is confirmed by rank 0 from rainbow_ranks.
+    whose OR shows only colours 1..w, each pass is confirmed by its k terms, sorted,
+    reading 1..k.
     """
     N, w = draws.shape[1], min(k, _WORD_BITS)
     lookup = np.zeros(n + 1, dtype=np.min_scalar_type((1 << w) - 1))
@@ -107,12 +105,10 @@ def _cover_hits(draws: np.ndarray, n: int, k: int) -> np.ndarray:
             acc |= bits[j * d:j * d + L]
         match = acc == (1 << w) - 1
         if k > w and match.any():
-            # colours above k fold into k+1 (k if n = k, as k+1 may not fit int16)
             starts, rows = np.nonzero(match)
             terms = draws[rows[:, None], starts[:, None] + d * np.arange(k)]
-            ranks = rainbow_ranks(np.minimum(terms, min(n, k + 1)), np.arange(k)[None],
-                                  colex_table(k + 1, k))
-            match[starts, rows] = ranks[:, 0] == 0
+            terms.sort(axis=1)
+            match[starts, rows] = (terms == np.arange(1, k + 1)).all(axis=1)
         hit |= match.any(axis=0)
     return hit
 
@@ -183,7 +179,7 @@ class BoundsReport:
 
     h and h_i are the progression count and pair tallies behind L (`pairs_mode`
     says whether h_i are exact or entrywise upper bounds). L stays an exact
-    Fraction; L_float is a convenience rendering.
+    Fraction.
     """
 
     n: int
@@ -196,10 +192,6 @@ class BoundsReport:
     N_lower: int
     construction_length: int
     alpha: float
-
-    @property
-    def L_float(self) -> float:
-        return float(self.L)
 
 
 def compute_bounds_report(n: int, k: int, N: Optional[int] = None,
@@ -214,31 +206,3 @@ def compute_bounds_report(n: int, k: int, N: Optional[int] = None,
         N_lower=lower_bound_N(n, k),
         construction_length=upper_bound_length(n, k, alpha, log_base, force=force_alpha),
         alpha=alpha)
-
-
-def fraction_json(value: Fraction) -> dict:
-    """Render an exact rational as {numerator, denominator, decimal_30_digits}."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 30
-        rendered = str(decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator))
-    return {
-        "numerator": value.numerator,
-        "denominator": value.denominator,
-        "decimal_30_digits": rendered,
-    }
-
-
-def bounds_report_dict(report: BoundsReport) -> dict:
-    return {
-        "n": report.n,
-        "k": report.k,
-        "N": report.N,
-        "h": report.h,
-        "h_i": list(report.h_i),
-        "pairs_mode": report.pairs_mode,
-        "L": fraction_json(report.L),
-        "L_float": report.L_float,
-        "N_lower": report.N_lower,
-        "construction_length": report.construction_length,
-        "alpha": report.alpha,
-    }

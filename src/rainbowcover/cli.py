@@ -7,27 +7,29 @@ exactly. Randomized subcommands either take --seed or generate one and report
 it; silent nondeterminism is never an option.
 
 Each cmd_* returns (exit code, JSON record, text lines), and main prints the
-record or the lines, so there is one output path.
+record or the lines, so there is one output path. This module renders every
+record: the library computes, and only the colouring file format lives there.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
 import secrets
 import sys
 from dataclasses import asdict
+from fractions import Fraction
 from itertools import chain, combinations
 from typing import Iterable, Optional
 
 from .bounds import (
-    bounds_report_dict,
     compute_bounds_report,
     count_intersecting_pairs,
     estimate_cover_probability,
 )
-from .combinatorics import count_progressions
+from .combinatorics import ColorSetView, count_progressions
 from .construct import (
     ConstructParams,
     block_length,
@@ -36,13 +38,13 @@ from .construct import (
 )
 from .coverage import (
     Coloring,
-    coverage_report_dict,
+    VerifyResult,
     format_coloring,
     parse_coloring_text,
     verify_cover,
 )
 from .errors import BudgetExceededError, ParameterError, RoundsExhaustedError
-from .exact import DEFAULT_NODE_BUDGET, METHOD, SearchConfig, ac_exact, exact_result_dict
+from .exact import DEFAULT_NODE_BUDGET, METHOD, SearchConfig, ac_exact
 
 EXIT_OK = 0
 EXIT_INCOMPLETE = 1
@@ -84,6 +86,41 @@ def _write_files(texts: list[tuple[str, str]]) -> None:
     for path, text in texts:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+
+
+def fraction_json(value: Fraction) -> dict:
+    """Render an exact rational as {numerator, denominator, decimal_30_digits}."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 30
+        rendered = str(decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator))
+    return {
+        "numerator": value.numerator,
+        "denominator": value.denominator,
+        "decimal_30_digits": rendered,
+    }
+
+
+def coverage_report_dict(coloring: Coloring, result: VerifyResult) -> dict:
+    """The verify record after its head: {n, k, N, complete, covered_count,
+    total, uncovered, witnesses?}."""
+    report = result.report
+    out = {
+        "n": report.n,
+        "k": report.k,
+        "N": coloring.N,
+        "complete": result.complete,
+        "covered_count": report.covered_count,
+        "total": report.total,
+        "uncovered": result.uncovered.colors(),
+    }
+    witnesses = report.witnesses
+    if witnesses is not None:
+        keys = ColorSetView(witnesses.ranks, report.n, report.k).colors()
+        out["witnesses"] = {
+            ",".join(map(str, colors)): {"start": start, "diff": diff, "length": report.k}
+            for colors, start, diff in zip(keys, witnesses.starts.tolist(),
+                                           witnesses.diffs.tolist())}
+    return out
 
 
 def cmd_verify(args) -> Outcome:
@@ -166,6 +203,8 @@ def cmd_count(args) -> Outcome:
 
 
 def cmd_bounds(args) -> Outcome:
+    if args.trials is None and (args.seed is not None or args.rng != "philox"):
+        raise ParameterError("--seed and --rng apply only to the estimate: give --trials")
     pairs_mode = "exact-pairs" if args.pairs == "exact" else "bounded-pairs"
     report = compute_bounds_report(
         args.n, args.k, N=args.N, alpha=args.alpha, pairs_mode=pairs_mode,
@@ -174,7 +213,7 @@ def cmd_bounds(args) -> Outcome:
         f"n={report.n} k={report.k} N={report.N}",
         f"progressions h = {report.h}",
         f"pair tallies ({report.pairs_mode}): {list(report.h_i)}",
-        f"cover-probability lower bound L = {report.L} ({report.L_float:.6g})",
+        f"cover-probability lower bound L = {report.L} ({float(report.L):.6g})",
         f"N_lower = {report.N_lower}",
         f"construction length = {report.construction_length} (alpha={report.alpha})",
     ]
@@ -185,7 +224,19 @@ def cmd_bounds(args) -> Outcome:
             report.n, report.k, report.N, args.trials, args.seed, args.rng)
         names += ["seed", "rng"]
     record = _record(args, *names)
-    record.update(bounds_report_dict(report))
+    record.update({
+        "n": report.n,
+        "k": report.k,
+        "N": report.N,
+        "h": report.h,
+        "h_i": list(report.h_i),
+        "pairs_mode": report.pairs_mode,
+        "L": fraction_json(report.L),
+        "L_float": float(report.L),
+        "N_lower": report.N_lower,
+        "construction_length": report.construction_length,
+        "alpha": report.alpha,
+    })
     if args.trials is not None:
         record["estimate"] = {
             "p_hat": estimate.p_hat,
@@ -227,7 +278,15 @@ def cmd_exact(args) -> Outcome:
             "method": METHOD,
         })
         return EXIT_BUDGET, record, []
-    record.update(exact_result_dict(result))
+    record.update({
+        "n": result.n,
+        "k": result.k,
+        "ac": result.value,
+        "witness": list(result.witness.colors),
+        "nodes_explored": result.nodes_explored,
+        "refuted_up_to": result.refuted_up_to,
+        "method": METHOD,
+    })
     if args.output:
         header = {"n": args.n, "k": args.k, "ac": result.value, "method": METHOD}
         _write_files([(args.output, format_coloring(result.witness, header))])

@@ -210,7 +210,7 @@ def parse_coloring_text(text: str) -> list[int]:
     Values are whitespace-separated positive integers, on one line or many;
     a line whose first non-blank character is '#' is a comment. Each line is
     split with str.split and converted with int; a line where that fails or
-    gives a value below 1 is scanned again token by token, to raise
+    gives a value below 1 is scanned again token by token, only to raise
     ColoringFormatError with 1-based line/column diagnostics for its first
     bad token.
     """
@@ -224,17 +224,17 @@ def parse_coloring_text(text: str) -> list[int]:
         except ValueError:
             row = []
         if not row or min(row) < 1:
-            row = _scan_line(line, lineno)
+            _reject_line(line, lineno)
         values += row
     if not values:
         raise ColoringFormatError("no colour values found", line=1, column=1)
     return values
 
 
-def _scan_line(line: str, lineno: int) -> list[int]:
-    """The values of one line, read token by token; raises at the first token
-    that is not an integer or is below 1."""
-    values = []
+def _reject_line(line: str, lineno: int) -> None:
+    """Raise for the first token of the line that is not an integer or is below
+    1. Called only for a line where str.split found such a token, and str.split
+    and the token pattern split alike, so it always raises."""
     for match in _TOKEN.finditer(line):
         token = match.group()
         column = match.start() + 1
@@ -248,8 +248,6 @@ def _scan_line(line: str, lineno: int) -> list[int]:
             raise ColoringFormatError(
                 f"line {lineno}, column {column}: colour {value} must be >= 1",
                 line=lineno, column=column)
-        values.append(value)
-    return values
 
 
 def format_coloring(coloring: Coloring, header: Optional[dict] = None) -> str:
@@ -259,25 +257,3 @@ def format_coloring(coloring: Coloring, header: Optional[dict] = None) -> str:
         lines.append("# " + " ".join(f"{key}={value}" for key, value in header.items()))
     lines.append(" ".join(str(c) for c in coloring.colors))
     return "\n".join(lines) + "\n"
-
-
-def coverage_report_dict(coloring: Coloring, result: VerifyResult) -> dict:
-    """JSON-ready report: {n, k, N, complete, covered_count, total, uncovered, witnesses?}."""
-    report = result.report
-    out = {
-        "n": report.n,
-        "k": report.k,
-        "N": coloring.N,
-        "complete": result.complete,
-        "covered_count": report.covered_count,
-        "total": report.total,
-        "uncovered": result.uncovered.colors(),
-    }
-    witnesses = report.witnesses
-    if witnesses is not None:
-        keys = ColorSetView(witnesses.ranks, report.n, report.k).colors()
-        out["witnesses"] = {
-            ",".join(map(str, colors)): {"start": start, "diff": diff, "length": report.k}
-            for colors, start, diff in zip(keys, witnesses.starts.tolist(),
-                                           witnesses.diffs.tolist())}
-    return out

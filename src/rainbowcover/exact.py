@@ -372,16 +372,3 @@ def ac_exact(n: int, k: int, config: Optional[SearchConfig] = None) -> ExactResu
             return ExactResult(n=n, k=k, value=N, witness=_certified(found, n, k),
                                nodes_explored=total_nodes, refuted_up_to=N - 1)
         N += 1
-
-
-def exact_result_dict(result: ExactResult) -> dict:
-    """JSON-ready record; `method` labels how this tool derived the value."""
-    return {
-        "n": result.n,
-        "k": result.k,
-        "ac": result.value,
-        "witness": list(result.witness.colors),
-        "nodes_explored": result.nodes_explored,
-        "refuted_up_to": result.refuted_up_to,
-        "method": METHOD,
-    }

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import json
 from math import comb, factorial
 import random
 import tracemalloc
@@ -20,8 +21,15 @@ from rainbowcover import (
     rounds,
     upper_bound_length,
 )
-from rainbowcover import bounds
-from rainbowcover.bounds import _cover_hits, bounds_report_dict, fraction_json
+from rainbowcover import bounds, cli
+from rainbowcover.bounds import _cover_hits
+from rainbowcover.cli import fraction_json
+
+
+def bounds_record(capsys, *argv):
+    """The JSON record of a `bounds` run that exits 0."""
+    assert cli.main(["bounds", *argv]) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 class TestBonferroni:
@@ -212,7 +220,7 @@ class TestUpperBoundLength:
 
 
 class TestBoundsReport:
-    def test_report_assembly(self):
+    def test_report_assembly(self, capsys):
         report = compute_bounds_report(10, 3, alpha=2.0)
         assert report.N == block_length(10, 3) == 26
         assert report.h == count_progressions(26, 3)
@@ -220,7 +228,8 @@ class TestBoundsReport:
         assert report.pairs_mode == "exact-pairs"
         assert report.N_lower == lower_bound_N(10, 3)
         assert report.construction_length == 364
-        assert report.L_float == pytest.approx(float(report.L))
+        record = bounds_record(capsys, "--n", "10", "--k", "3", "--alpha", "2.0")
+        assert record["L_float"] == pytest.approx(float(report.L))
 
     def test_bounded_mode(self):
         exact = compute_bounds_report(8, 3)
@@ -233,9 +242,8 @@ class TestBoundsReport:
         assert rendered["numerator"] == 5 and rendered["denominator"] == 36
         assert rendered["decimal_30_digits"].startswith("0.13888888888888888888888888888")
 
-    def test_dict_round_trip(self):
-        report = compute_bounds_report(6, 2, N=6)
-        data = bounds_report_dict(report)
+    def test_dict_round_trip(self, capsys):
+        data = bounds_record(capsys, "--n", "6", "--k", "2", "--N", "6")
         assert data["h"] == 15
         assert data["L"]["numerator"] == 5 and data["L"]["denominator"] == 36
         assert data["h_i"] == [45, 60]

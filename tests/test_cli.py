@@ -204,6 +204,12 @@ class TestConstruct:
         assert record["error"] == "rounds-exhausted"
         assert record["residual"]
 
+    def test_zero_max_rounds_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "construct", "--n", "6", "--k", "3",
+                                 "--seed", "1", "--max-rounds", "0")
+        assert (code, out) == (2, "")
+        assert "max_rounds must be >= 1, got 0" in err
+
     def test_rounds_exhausted_text_renders_no_residual(self, capsys, monkeypatch):
         calls = []
         render = ColorSetView.colors
@@ -271,6 +277,18 @@ class TestBounds:
         validate(record, "bounds")
         assert sum(record["h_i"]) == comb(record["h"], 2)
 
+
+    @pytest.mark.parametrize("flag", [("--seed", "5"), ("--rng", "pcg64")])
+    def test_estimate_flag_without_trials_exit_two(self, capsys, flag):
+        # neither flag reaches the record unless --trials asks for an estimate
+        code, out, err = run_cli(capsys, "bounds", "--n", "6", "--k", "3", *flag)
+        assert (code, out) == (2, "")
+        assert "--trials" in err
+
+    def test_default_rng_without_trials(self, capsys):
+        # --rng philox is the default, so it cannot be told from no flag
+        code, record, _ = run_json(capsys, "bounds", "--n", "6", "--k", "3", "--rng", "philox")
+        assert code == 0 and "estimate" not in record
 
     @pytest.mark.parametrize("force", [(), ("--force",)])
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
@@ -351,6 +369,11 @@ class TestExact:
         assert record["error"] == "budget-exceeded"
         assert record["refuted_up_to"] == 5
         assert "must be >= 1" not in err
+
+    def test_zero_max_N_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "exact", "--n", "4", "--k", "3", "--max-N", "0")
+        assert (code, out) == (2, "")
+        assert "max_N must be >= 1, got 0" in err
 
     def test_depth_limit_exit_three(self, capsys):
         # the search recurses once per position, so N = 1100 is past the default

@@ -19,6 +19,7 @@ from rainbowcover import (
 )
 from rainbowcover import combinatorics
 from rainbowcover.combinatorics import (
+    ColorSetView,
     colex_table,
     colex_unrank,
     progression_blocks,
@@ -302,3 +303,10 @@ class TestColorSet:
     def test_out_of_palette_rejected(self):
         with pytest.raises(ParameterError):
             ColorSet.from_colors([1, 7], 6)
+
+    def test_view_unequal_to_tuple(self):
+        # only a list or another view compares by entries
+        view = ColorSetView(np.array([0, 3]), 6, 3)
+        entries = [ColorSet.from_rank(0, 6, 3), ColorSet.from_rank(3, 6, 3)]
+        assert view == entries
+        assert view != tuple(entries) and tuple(entries) != view

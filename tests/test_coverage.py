@@ -56,6 +56,10 @@ class TestColoring:
         with pytest.raises(ParameterError):
             Coloring((), 2)
 
+    def test_empty_palette_rejected(self):
+        with pytest.raises(ParameterError, match=r"^number of colours must be >= 1, got 0$"):
+            Coloring((1,), 0)
+
     def test_list_coerced(self):
         assert Coloring([1, 2], 2).colors == (1, 2)
 

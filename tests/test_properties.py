@@ -41,7 +41,7 @@ from rainbowcover.combinatorics import (
     progression_blocks,
     rainbow_ranks,
 )
-from rainbowcover.coverage import coverage_report_dict
+from rainbowcover.cli import coverage_report_dict
 from rainbowcover.errors import ColoringFormatError
 
 
