@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .combinatorics import (
+    _check_count,
     _check_interval,
     _check_nk,
     count_intersecting_pairs,
@@ -126,8 +127,7 @@ def estimate_cover_probability(n: int, k: int, N: int, trials: int, seed: int,
     _check_interval(N, k)
     if n > np.iinfo(np.int16).max:
         raise ParameterError(f"colours are drawn as int16, so n must be <= 32767, got {n}")
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    _check_count("trials", trials)
     rng = make_rng(seed, rng_name)
     if N < k:
         # no k-progression fits, so nothing can be covered

@@ -53,6 +53,10 @@ EXIT_BUDGET = 3
 
 Outcome = tuple[int, dict, Iterable[str]]
 
+# the option that sets each library field whose check names it
+_OPTIONS = {"samples_per_round": "--samples", "max_rounds": "--max-rounds",
+           "max_N": "--max-N", "node_budget": "--budget", "trials": "--trials"}
+
 
 def _ensure_seed(args) -> None:
     """Generate a seed into args.seed when none was given, and report it."""
@@ -130,14 +134,15 @@ def cmd_verify(args) -> Outcome:
     coloring = Coloring(tuple(values), args.n)
     result = verify_cover(coloring, args.n, args.k, record_witnesses=args.witnesses)
     record = _record(args, "input", "n", "k", "witnesses")
-    record.update(coverage_report_dict(coloring, result))
+    if args.format == "json":  # text prints no record: unrank the lines instead
+        record.update(coverage_report_dict(coloring, result))
     head = [
         f"n={args.n} k={args.k} N={coloring.N}",
         f"covered {result.report.covered_count}/{result.report.total} subsets",
         "complete" if result.complete else "INCOMPLETE",
     ]
     # lazy, so JSON output never formats the uncovered lines
-    lines = chain(head, (f"  uncovered: {colors}" for colors in record["uncovered"]))
+    lines = chain(head, map("  uncovered: {}".format, result.uncovered.iter_colors()))
     return EXIT_OK if result.complete else EXIT_INCOMPLETE, record, lines
 
 
@@ -381,7 +386,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         code, record, lines = args.func(args)
     except (ParameterError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        option = _OPTIONS.get(getattr(exc, "field", None))
+        print(f"error: {option}: {exc}" if option else f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (BudgetExceededError, RoundsExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -123,6 +123,12 @@ def _check_interval(N: int, k: int) -> None:
         raise ParameterError(f"interval length N must be >= 1, got {N}")
 
 
+def _check_count(name: str, value: int) -> None:
+    """Require a count argument to be >= 1; the error's field is its name."""
+    if value < 1:
+        raise ParameterError(f"{name} must be >= 1, got {value}", field=name)
+
+
 def _check_nk(n: int, k: int, least: int = 2) -> None:
     """Require least <= k <= n. Progressions need least = 2: k = 1 would make a
     singleton a progression only by convention. A ColorSet may hold one colour."""
@@ -304,33 +310,77 @@ def colex_unrank(ranks: np.ndarray, comb_table: np.ndarray) -> np.ndarray:
 
 
 class ColorSetView(Sequence):
-    """Read-only sequence of the k-subsets of [n] with the given colex ranks,
-    read as ColorSet.
+    """Read-only sequence of k-subsets of [n] in colex order, read as ColorSet.
 
-    Only the int64 ranks are held, 8 bytes per subset, in a read-only array.
-    A ColorSet is built for an entry when it is read; iteration unranks
-    BLOCK_ROWS ranks at a time and ORs Python-int bits, so masks stay exact
-    for n > 63. A view equals a list when the two are equal entry by entry.
+    A view holds int64 colex ranks or, from missing(), shares a bool family over
+    all C(n,k) ranks, one byte per subset, whose False entries are its entries.
+    It reads BLOCK_ROWS ranks or family entries at a time: iteration unranks a
+    chunk, an index finds its chunk from per-chunk counts made on first use,
+    and a slice or `ranks` builds only the ranks it returns. Masks OR Python-int
+    bits, so they stay exact for n > 63. A view equals a list when the two are
+    equal entry by entry.
     """
 
     def __init__(self, ranks: np.ndarray, n: int, k: int):
-        self.ranks = np.asarray(ranks, dtype=np.int64).view()
-        self.ranks.flags.writeable = False
-        self.n, self.k = n, k
+        self._ranks, self._family = np.asarray(ranks, dtype=np.int64).view(), None
+        self._ranks.flags.writeable = False
+        self._len, self.n, self.k = len(self._ranks), n, k
+
+    @classmethod
+    def missing(cls, family: np.ndarray, n: int, k: int, covered: int) -> ColorSetView:
+        """The view of the False entries of a bool family over the colex ranks,
+        given `covered`, its count of True entries."""
+        view = cls.__new__(cls)
+        view._ranks, view._family, view._ends = None, family.view(), None
+        view._family.flags.writeable = False
+        view._len, view.n, view.k = len(family) - covered, n, k
+        return view
+
+    @property
+    def ranks(self) -> np.ndarray:
+        """The read-only int64 ranks of the entries, built on each read from a family."""
+        return self._ranks if self._family is None else self[:]._ranks
 
     def __len__(self) -> int:
-        return len(self.ranks)
+        return self._len
+
+    def _chunks(self) -> Iterator[np.ndarray]:
+        """The ranks of the entries, a chunk of BLOCK_ROWS ranks or family entries at a time."""
+        step = BLOCK_ROWS
+        if self._family is None:
+            for lo in range(0, self._len, step):
+                yield self._ranks[lo:lo + step]
+        elif self._len:
+            for lo in range(0, len(self._family), step):
+                yield np.flatnonzero(~self._family[lo:lo + step]) + lo
+
+    def _between(self, lo: int, hi: int) -> np.ndarray:
+        """The ranks of entries lo..hi-1, for 0 <= lo < hi <= len."""
+        if self._family is None:
+            return self._ranks[lo:hi]
+        if self._ends is None:  # entries up to the end of each chunk
+            step = BLOCK_ROWS
+            chunks = (self._family[i:i + step] for i in range(0, len(self._family), step))
+            self._ends = step, np.cumsum([len(c) - np.count_nonzero(c) for c in chunks])
+        step, ends = self._ends
+        first, last = ends.searchsorted([lo, hi - 1], side="right").tolist()
+        skip = int(ends[first - 1]) if first else 0
+        ranks = np.flatnonzero(~self._family[first * step:(last + 1) * step]) + first * step
+        return ranks[lo - skip:hi - skip]
 
     def __getitem__(self, i: int | slice) -> ColorSet | ColorSetView:
+        entries = range(self._len)[i]  # raises IndexError past either end
         if isinstance(i, slice):
-            return ColorSetView(self.ranks[i], self.n, self.k)
-        return ColorSet.from_rank(int(self.ranks[index(i)]), self.n, self.k)
+            if not entries:
+                return ColorSetView(np.empty(0, dtype=np.int64), self.n, self.k)
+            lo, hi = sorted((entries[0], entries[-1]))
+            return ColorSetView(self._between(lo, hi + 1)[::entries.step], self.n, self.k)
+        return ColorSet.from_rank(int(self._between(entries, entries + 1)[0]), self.n, self.k)
 
     def __iter__(self) -> Iterator[ColorSet]:
         table = colex_table(self.n, self.k)
         bits = [0] + [1 << c for c in range(self.n)]
-        for lo in range(0, len(self.ranks), BLOCK_ROWS):
-            block = self.ranks[lo:lo + BLOCK_ROWS]
+        for block in self._chunks():
             masks = [0] * len(block)
             for column in colex_unrank(block, table).T.tolist():
                 masks = [m | bits[c] for m, c in zip(masks, column)]
@@ -339,13 +389,18 @@ class ColorSetView(Sequence):
     def __eq__(self, other) -> bool:
         if isinstance(other, ColorSetView):
             # equal ranks give equal entries when k agrees or there are none
-            return (np.array_equal(self.ranks, other.ranks)
-                    and (self.k == other.k or not len(self)))
+            return (len(self) == len(other) and (self.k == other.k or not len(self))
+                    and np.array_equal(self.ranks, other.ranks))
         if isinstance(other, list):
             return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
 
-    def colors(self) -> list[list[int]]:
-        """The ascending colours of every entry, by one batch unrank."""
-        return colex_unrank(self.ranks, colex_table(self.n, self.k)).tolist()
+    def iter_colors(self) -> Iterator[list[int]]:
+        """The ascending colours of each entry, unranked a chunk at a time."""
+        table = colex_table(self.n, self.k)
+        for block in self._chunks():
+            yield from colex_unrank(block, table).tolist()
 
+    def colors(self) -> list[list[int]]:
+        """The ascending colours of every entry."""
+        return list(self.iter_colors())

@@ -23,6 +23,7 @@ import numpy as np
 
 from .combinatorics import (
     ColorSetView,
+    _check_count,
     _check_family_size,
     _check_nk,
     colex_table,
@@ -128,11 +129,9 @@ class ConstructParams:
 
     def __post_init__(self):
         _check_rng(self.seed, self.rng_name)
-        if self.samples_per_round < 1:
-            raise ParameterError(
-                f"samples_per_round must be >= 1, got {self.samples_per_round}")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ParameterError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        _check_count("samples_per_round", self.samples_per_round)
+        if self.max_rounds is not None:
+            _check_count("max_rounds", self.max_rounds)
         _check_alpha(self.alpha, self.log_base, self.force_alpha)
 
 
@@ -214,7 +213,7 @@ def construct_cover(n: int, k: int, params: ConstructParams) -> ConstructResult:
     trace.rounds_used = len(blocks)
     trace.final_length = len(blocks) * length
     if before:
-        residual = ColorSetView(np.flatnonzero(uncovered), n, k)
+        residual = ColorSetView.missing(~uncovered[:-1], n, k, total - before)
         raise RoundsExhaustedError(
             f"{len(residual)} of {total} subsets still uncovered after "
             f"{len(blocks)} rounds (limit {max_rounds})",

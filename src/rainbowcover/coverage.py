@@ -27,7 +27,8 @@ from .combinatorics import (
 )
 from .errors import ColoringFormatError, ParameterError
 
-_TOKEN = re.compile(r"\S+")
+# a run of anything but the ASCII whitespace that str.split splits on
+_TOKEN = re.compile(r"[^ \t\n\r\x0b\x0c\x1c-\x1f]+")
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,8 @@ class _WitnessValues(ValuesView):
 class CoverageReport:
     """Coverage status of every k-subset of [n].
 
-    `covered` is a bool array over colex ranks: entry r says whether the
-    subset with rank r is covered. `witnesses`, when recorded, maps a covered
+    `covered` is a read-only bool array over colex ranks: entry r says whether
+    the subset with rank r is covered. `witnesses`, when recorded, maps a covered
     rank to the first progression (in enumeration order) realizing that subset.
     """
 
@@ -128,6 +129,9 @@ class CoverageReport:
 
 @dataclass
 class VerifyResult:
+    """`uncovered` is a read-only ColorSetView over the False entries of
+    `report.covered`, with no copy; it unranks a subset only when one is read."""
+
     complete: bool
     uncovered: ColorSetView
     report: CoverageReport
@@ -181,6 +185,7 @@ def covered_family(coloring: Coloring, k: int,
             bound = int(np.count_nonzero(family))
             if bound == total:
                 break
+    family.flags.writeable = False
     witnesses = None
     if record_witnesses:
         ranks, starts, diffs = map(np.concatenate, zip(*found))
@@ -193,34 +198,36 @@ def verify_cover(coloring: Coloring, n: int, k: int,
                  record_witnesses: bool = False) -> VerifyResult:
     """Decide whether the colouring covers every k-subset of [n].
 
-    `uncovered` holds the missing subsets in colex order as a read-only
-    sequence, built on access from their ranks, so a complete cover is exactly
-    an empty one.
+    `uncovered` holds the missing subsets in colex order, so a complete cover is
+    exactly an empty one.
     """
     if n != coloring.n:
         coloring = Coloring(coloring.colors, n)
     report = covered_family(coloring, k, record_witnesses)
-    uncovered = ColorSetView(np.flatnonzero(~report.covered), n, k)
+    uncovered = ColorSetView.missing(report.covered, n, k, report.covered_count)
     return VerifyResult(not uncovered, uncovered, report)
 
 
 def parse_coloring_text(text: str) -> list[int]:
     """Parse colour values from the text format.
 
-    Values are whitespace-separated positive integers, on one line or many;
-    a line whose first non-blank character is '#' is a comment. Each line is
-    split with str.split and converted with int; a line where that fails or
-    gives a value below 1 is scanned again token by token, only to raise
-    ColoringFormatError with 1-based line/column diagnostics for its first
-    bad token.
+    Values are positive integers in the ASCII digits 0-9, separated by ASCII
+    whitespace, on one line or many; a line whose first non-blank character is
+    '#' is a comment. A line that is ASCII and holds no '+' or '_' is split
+    with str.split and converted with int; any other line, or one where that
+    fails or gives a value below 1, is scanned again token by token, only to
+    raise ColoringFormatError with 1-based line/column diagnostics for its
+    first bad token.
     """
     values: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.lstrip()
         if not stripped or stripped.startswith("#"):
             continue
+        # int also reads '+', '_' and non-ASCII digits: such a line is rejected
+        plain = line.isascii() and "+" not in line and "_" not in line
         try:
-            row = list(map(int, line.split()))
+            row = list(map(int, line.split())) if plain else []
         except ValueError:
             row = []
         if not row or min(row) < 1:
@@ -232,18 +239,19 @@ def parse_coloring_text(text: str) -> list[int]:
 
 
 def _reject_line(line: str, lineno: int) -> None:
-    """Raise for the first token of the line that is not an integer or is below
-    1. Called only for a line where str.split found such a token, and str.split
-    and the token pattern split alike, so it always raises."""
+    """Raise for the first token of the line that is not ASCII digits after an
+    optional '-', or is below 1. Called only for a line that parse_coloring_text
+    rejects: on an ASCII line str.split and the token pattern split alike, and
+    a non-ASCII character, '+' or '_' lies inside some token, so it always
+    raises."""
     for match in _TOKEN.finditer(line):
         token = match.group()
         column = match.start() + 1
-        try:
-            value = int(token)
-        except ValueError:
+        if not (token.isascii() and token.removeprefix("-").isdigit()):
             raise ColoringFormatError(
                 f"line {lineno}, column {column}: {token!r} is not an integer",
-                line=lineno, column=column) from None
+                line=lineno, column=column)
+        value = int(token)
         if value < 1:
             raise ColoringFormatError(
                 f"line {lineno}, column {column}: colour {value} must be >= 1",

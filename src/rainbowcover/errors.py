@@ -4,7 +4,12 @@ from __future__ import annotations
 
 
 class ParameterError(ValueError):
-    """An argument violates a documented precondition."""
+    """An argument violates a documented precondition; `field`, when set, names
+    that argument, so a front end can name the option that set it."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class ColoringFormatError(ParameterError):
@@ -40,7 +45,8 @@ class RoundsExhaustedError(RuntimeError):
     """Block construction hit its round limit with subsets still uncovered.
 
     `residual` holds the uncovered colour subsets in colex order as a read-only
-    sequence, built on access; `trace` holds the partial construction trace
+    ColorSetView over a bool family, one byte per subset of the palette, whose
+    subsets are built only when read; `trace` holds the partial construction trace
     for diagnostics.
     """
 

@@ -51,10 +51,10 @@ from typing import Optional
 
 import numpy as np
 
-from .combinatorics import _check_family_size, _check_interval, progression_blocks
+from .combinatorics import _check_count, _check_family_size, _check_interval, progression_blocks
 from .coverage import Coloring, verify_cover
 from .bounds import lower_bound_N
-from .errors import BudgetExceededError, ParameterError
+from .errors import BudgetExceededError
 
 DEFAULT_NODE_BUDGET = 10**9
 METHOD = "pruned-dfs"  # the label of every value ac_exact returns
@@ -66,10 +66,9 @@ class SearchConfig:
     node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
-        if self.node_budget < 1:
-            raise ParameterError(f"node budget must be >= 1, got {self.node_budget}")
-        if self.max_N is not None and self.max_N < 1:
-            raise ParameterError(f"max_N must be >= 1, got {self.max_N}")
+        _check_count("node_budget", self.node_budget)
+        if self.max_N is not None:
+            _check_count("max_N", self.max_N)
 
 
 @dataclass

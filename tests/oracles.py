@@ -15,7 +15,10 @@ from math import comb
 
 import numpy as np
 
-_TOKEN = re.compile(r"\S+")
+# runs of anything but the ASCII whitespace that str.split splits on, and the
+# one form of a colour token: an optional minus sign and ASCII digits
+_TOKEN = re.compile(r"[^ \t\n\r\x0b\x0c\x1c-\x1f]+")
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 class ColoringFormatError(ValueError):
@@ -305,9 +308,10 @@ def prefix_bound_search(n: int, k: int, N: int):
 def parse_coloring_text(text: str) -> list[int]:
     """Parse colour values from the text format.
 
-    Values are whitespace-separated positive integers, on one line or many;
-    a line whose first non-blank character is '#' is a comment. Raises
-    ColoringFormatError with 1-based line/column diagnostics.
+    Values are positive integers in ASCII digits, separated by ASCII
+    whitespace, on one line or many; a line whose first non-blank character is
+    '#' is a comment. Raises ColoringFormatError with 1-based line/column
+    diagnostics.
     """
     values: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -317,12 +321,11 @@ def parse_coloring_text(text: str) -> list[int]:
         for match in _TOKEN.finditer(line):
             token = match.group()
             column = match.start() + 1
-            try:
-                value = int(token)
-            except ValueError:
+            if not _INTEGER.fullmatch(token):
                 raise ColoringFormatError(
                     f"line {lineno}, column {column}: {token!r} is not an integer",
-                    line=lineno, column=column) from None
+                    line=lineno, column=column)
+            value = int(token)
             if value < 1:
                 raise ColoringFormatError(
                     f"line {lineno}, column {column}: colour {value} must be >= 1",

@@ -14,6 +14,7 @@ from math import comb
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +41,19 @@ def validate(record, name):
     schema_text = resources.files("rainbowcover").joinpath(
         f"schemas/{name}.schema.json").read_text()
     jsonschema.validate(record, json.loads(schema_text))
+
+
+def run_capped(args, limit, stdout=subprocess.PIPE):
+    """Run `python *args` with the package importable and the address space
+    capped at `limit` bytes; one BLAS thread keeps the base reservation small."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env, timeout=120, preexec_fn=cap)
 
 
 @pytest.fixture
@@ -136,6 +150,30 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--input", "/nonexistent/f.txt",
                                "--n", "6", "--k", "3")
         assert code == 2
+
+    def test_uncovered_view_under_a_memory_cap(self):
+        # C(30,12) = 86.5M subsets, almost all uncovered: the view reads the
+        # one-byte family, where an int64 rank per subset needs 660 MiB
+        code = "\n".join([
+            "import numpy as np",
+            "from rainbowcover.coverage import Coloring, verify_cover",
+            "colors = np.random.default_rng(0).integers(1, 31, size=600).tolist()",
+            "uncovered = verify_cover(Coloring(tuple(colors), 30), 30, 12).uncovered",
+            "print(len(uncovered), uncovered[0].colors, uncovered[-1].colors)"])
+        proc = run_capped(["-c", code], 640 << 20)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"86491912 {tuple(range(1, 13))} {tuple(range(19, 31))}\n"
+
+    def test_text_under_a_memory_cap(self, tmp_path):
+        # 646,646 uncovered subsets of size 10: the lines are unranked a chunk
+        # at a time, where a list of all their colours needs over 150 MB
+        path = tmp_path / "uniform.txt"
+        colors = np.random.default_rng(0).integers(1, 23, size=300).tolist()
+        path.write_text(" ".join(map(str, colors)) + "\n")
+        proc = run_capped(["-m", "rainbowcover.cli", "verify", "--input", str(path),
+                           "--n", "22", "--k", "10", "--text"], 192 << 20,
+                          stdout=subprocess.DEVNULL)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
 
 class TestConstruct:
@@ -319,17 +357,8 @@ class TestEstimate:
     def test_chunk_over_draw_limit_exit_three(self):
         # a (4096, 10^6) int16 chunk is 7.6 GiB: refused before the draw, so
         # the run stays inside a 3 GiB address space
-        def limit_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
-
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "rainbowcover.cli", "estimate", "--n", "3", "--k", "3",
-             "--N", "1000000", "--trials", "5000", "--seed", "1"],
-            capture_output=True, text=True, env=env, timeout=120,
-            preexec_fn=limit_address_space)
+        proc = run_capped(["-m", "rainbowcover.cli", "estimate", "--n", "3", "--k", "3",
+                           "--N", "1000000", "--trials", "5000", "--seed", "1"], 3 << 30)
         assert (proc.returncode, proc.stdout) == (3, "")
         assert "limit" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -413,6 +442,18 @@ class TestExact:
 
 
 class TestCommonFlags:
+    @pytest.mark.parametrize("argv, option, field", [
+        (("construct", "--seed", "1", "--max-rounds", "0"), "--max-rounds", "max_rounds"),
+        (("construct", "--seed", "1", "--samples", "0"), "--samples", "samples_per_round"),
+        (("exact", "--max-N", "0"), "--max-N", "max_N"),
+        (("exact", "--budget", "0"), "--budget", "node_budget"),
+        (("estimate", "--seed", "1", "--trials", "0"), "--trials", "trials"),
+    ])
+    def test_count_error_names_the_option(self, capsys, argv, option, field):
+        code, out, err = run_cli(capsys, *argv, "--n", "4", "--k", "3")
+        assert (code, out) == (2, "")
+        assert err == f"error: {option}: {field} must be >= 1, got 0\n"
+
     def test_threads_rejected(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["count", "--N", "5", "--k", "2", "--threads", "2"])

@@ -180,9 +180,9 @@ class TestVerifyCover:
         assert not result.complete
         assert len(result.uncovered) == 2
 
-    def test_uncovered_memory_is_ranks(self):
-        # 1.23M of the 1.31M triples stay uncovered: held as 8-byte ranks,
-        # not as 1.23M ColorSet objects
+    def test_uncovered_memory_is_the_family(self):
+        # 1.23M of the 1.31M triples stay uncovered: read from the one-byte
+        # family, not held as 8-byte ranks or as 1.23M ColorSet objects
         colors = np.random.default_rng(0).integers(1, 201, size=600).tolist()
         coloring = Coloring(tuple(colors), 200)
         tracemalloc.start()
@@ -193,7 +193,15 @@ class TestVerifyCover:
             tracemalloc.stop()
         assert len(result.uncovered) + result.report.covered_count == comb(200, 3)
         assert len(result.uncovered) > 1_200_000
-        assert peak < 32 * 2**20
+        assert peak < 4 * comb(200, 3)
+
+    def test_family_is_read_only(self):
+        result = verify_cover(Coloring((1, 2, 3, 4), 4), 4, 3)
+        with pytest.raises(ValueError):
+            result.report.covered[0] = False
+        with pytest.raises(ValueError):
+            result.uncovered.ranks[0] = 0
+        assert result.uncovered.ranks.tolist() == [1, 2]
 
 
 class TestWitness:
@@ -223,6 +231,15 @@ class TestTextFormat:
         with pytest.raises(ColoringFormatError) as info:
             parse_coloring_text("1 2\n3 x 4\n")
         assert info.value.line == 2 and info.value.column == 3
+
+    @pytest.mark.parametrize("line, column", [
+        ("1_0 2", 1), ("2 +2", 3), ("2 3 \u0663", 5), ("\uff17", 1), ("1\u30002", 1)])
+    def test_only_ascii_digits(self, line, column):
+        # int() reads each of these tokens, but the format has ASCII digits
+        # and ASCII whitespace only
+        with pytest.raises(ColoringFormatError, match="is not an integer") as info:
+            parse_coloring_text("1\n" + line + "\n")
+        assert (info.value.line, info.value.column) == (2, column)
 
     def test_nonpositive_value(self):
         with pytest.raises(ColoringFormatError):

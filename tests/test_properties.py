@@ -6,7 +6,6 @@ import ast
 import hashlib
 import json
 import random
-import re
 import sys
 from math import comb
 from pathlib import Path
@@ -377,10 +376,13 @@ def test_packed_witness_cases_reach_their_edges():
 
 
 def test_split_and_regex_agree_on_whitespace():
-    # parse_coloring_text splits a line with str.split and names a bad token
-    # by its \S+ match: the two must split every code point alike
-    text = "".join(map(chr, range(sys.maxunicode + 1)))
-    assert text.split() == re.findall(r"\S+", text)
+    # parse_coloring_text splits an ASCII line with str.split and names a bad
+    # token by its _TOKEN match: the two must split ASCII alike, and no other
+    # code point may separate tokens
+    text = "".join(map(chr, range(128)))
+    assert text.split() == coverage._TOKEN.findall(text)
+    rest = "".join(map(chr, range(128, sys.maxunicode + 1)))
+    assert coverage._TOKEN.findall(rest) == [rest]
 
 
 def parse_outcome(parse, error, text):
@@ -395,6 +397,8 @@ def parse_outcome(parse, error, text):
 @example("1 2\n3 x 4\n")
 @example("\u0663 1_0 +2\x85 # 3\n\u2003-0")
 @example("4\u20281 0 x")
+@example("1_0 +2 \u0663 \uff17\n")
+@example("1\x1f2\u30003\n\u3000#\n7")
 def test_parse_matches_regex_oracle(text):
     # the same values, or the same message, line and column
     assert (parse_outcome(coverage.parse_coloring_text, ColoringFormatError, text)
@@ -491,6 +495,51 @@ def test_color_set_view_matches_from_rank(case):
     assert not empty and empty == [] and [] == empty and empty.colors() == []
     with pytest.raises(ValueError):
         view.ranks[0] = 1
+
+
+@st.composite
+def families(draw):
+    """(n, k, family): a bool family over the C(n,k) colex ranks, all True, all
+    False or mixed, with palettes past 63 colours."""
+    n = draw(st.integers(1, 70))
+    k = draw(st.sampled_from([k for k in range(1, n + 1) if comb(n, k) <= 300]))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return n, k, rng.random(comb(n, k)) < density
+
+
+@settings(deadline=None, max_examples=60)
+@given(families(), st.sampled_from([2, 3, BLOCK_ROWS]))
+@example((70, 1, np.zeros(70, dtype=bool)), 2)
+@example((70, 69, np.ones(70, dtype=bool)), 2)
+@example((5, 2, np.arange(10) % 3 == 0), 2)
+def test_family_view_matches_ranks_view(case, chunk):
+    # the False entries of a family, against a view of their ranks; every
+    # read scans the family `chunk` entries at a time
+    n, k, family = case
+    expected = ColorSetView(np.flatnonzero(~family), n, k)
+    entries = list(expected)
+    with mock.patch.object(combinatorics, "BLOCK_ROWS", chunk):
+        view = ColorSetView.missing(family, n, k, int(np.count_nonzero(family)))
+        assert len(view) == len(entries) and bool(view) == bool(entries)
+        assert list(view) == entries
+        assert [view[i] for i in range(-len(view), len(view))] == entries + entries
+        for i in (len(view), -len(view) - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        for part in (slice(None), slice(1, None), slice(2, -1), slice(None, None, 2),
+                     slice(1, None, 2), slice(None, None, -1), slice(-2, 0, -1)):
+            assert isinstance(view[part], ColorSetView)
+            assert view[part] == entries[part] and entries[part] == view[part]
+            assert view[part] == expected[part] and expected[part] == view[part]
+        assert view == entries and entries == view
+        assert view == expected and expected == view
+        if entries:
+            assert view != entries[:-1] and entries[:-1] != view and view[:-1] != view
+        assert view.colors() == expected.colors() == [list(cs.colors) for cs in entries]
+    assert np.array_equal(view.ranks, expected.ranks)
+    with pytest.raises(ValueError):
+        view.ranks[:1] = 0
 
 
 def test_uncovered_list_across_blocks():
