@@ -29,7 +29,7 @@ from .bounds import (
     count_intersecting_pairs,
     estimate_cover_probability,
 )
-from .combinatorics import ColorSetView, count_progressions
+from .combinatorics import colex_table, colex_unrank, count_progressions
 from .construct import (
     ConstructParams,
     block_length,
@@ -119,7 +119,7 @@ def coverage_report_dict(coloring: Coloring, result: VerifyResult) -> dict:
     }
     witnesses = report.witnesses
     if witnesses is not None:
-        keys = ColorSetView(witnesses.ranks, report.n, report.k).colors()
+        keys = colex_unrank(witnesses.ranks, colex_table(report.n, report.k)).tolist()
         out["witnesses"] = {
             ",".join(map(str, colors)): {"start": start, "diff": diff, "length": report.k}
             for colors, start, diff in zip(keys, witnesses.starts.tolist(),
@@ -132,7 +132,9 @@ def cmd_verify(args) -> Outcome:
         text = handle.read()
     values = parse_coloring_text(text)
     coloring = Coloring(tuple(values), args.n)
-    result = verify_cover(coloring, args.n, args.k, record_witnesses=args.witnesses)
+    # text prints no witnesses, so only JSON records them
+    result = verify_cover(coloring, args.n, args.k,
+                          record_witnesses=args.witnesses and args.format == "json")
     record = _record(args, "input", "n", "k", "witnesses")
     if args.format == "json":  # text prints no record: unrank the lines instead
         record.update(coverage_report_dict(coloring, result))

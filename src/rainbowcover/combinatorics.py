@@ -74,7 +74,7 @@ class ColorSet:
         total = _check_family_size(n, k, least=1)
         if not 0 <= rank < total:
             raise ParameterError(f"rank {rank} out of range for C({n},{k}) = {total}")
-        return next(iter(ColorSetView([rank], n, k)))
+        return next(_color_sets(np.array([rank], dtype=np.int64), n, k))
 
     @classmethod
     def from_colors(cls, colors: Iterable[int], n: int) -> "ColorSet":
@@ -309,55 +309,53 @@ def colex_unrank(ranks: np.ndarray, comb_table: np.ndarray) -> np.ndarray:
     return out
 
 
-class ColorSetView(Sequence):
-    """Read-only sequence of k-subsets of [n] in colex order, read as ColorSet.
+def _color_sets(ranks: np.ndarray, n: int, k: int) -> Iterator[ColorSet]:
+    """The ColorSet of each int64 colex rank of a k-subset of [n], unranked in
+    one batch and built as read. Masks OR Python-int bits, so they stay exact
+    for n > 63."""
+    zero_based = colex_unrank(ranks, colex_table(n, k))
+    zero_based -= 1
+    masks = [0] * len(ranks)
+    for column in zero_based.T.tolist():
+        masks = [m | 1 << c for m, c in zip(masks, column)]
+    return map(ColorSet, masks, ranks.tolist())
 
-    A view holds int64 colex ranks or, from missing(), shares a bool family over
-    all C(n,k) ranks, one byte per subset, whose False entries are its entries.
-    It reads BLOCK_ROWS ranks or family entries at a time: iteration unranks a
-    chunk, an index finds its chunk from per-chunk counts made on first use,
-    and a slice or `ranks` builds only the ranks it returns. Masks OR Python-int
-    bits, so they stay exact for n > 63. A view equals a list when the two are
-    equal entry by entry.
+
+class ColorSetView(Sequence):
+    """Read-only sequence of the k-subsets of [n] whose entries are False in a
+    bool family over all C(n,k) colex ranks, in colex order, read as ColorSet.
+
+    The view shares the family, one byte per subset, with no copy; `covered`
+    counts its True entries. It reads the family BLOCK_ROWS entries at a time:
+    iteration unranks a chunk, an index finds its chunk from per-chunk counts
+    made on first use, and a slice unranks only its own entries, into a list.
+    A view equals a list when the two are equal entry by entry.
     """
 
-    def __init__(self, ranks: np.ndarray, n: int, k: int):
-        self._ranks, self._family = np.asarray(ranks, dtype=np.int64).view(), None
-        self._ranks.flags.writeable = False
-        self._len, self.n, self.k = len(self._ranks), n, k
-
-    @classmethod
-    def missing(cls, family: np.ndarray, n: int, k: int, covered: int) -> ColorSetView:
-        """The view of the False entries of a bool family over the colex ranks,
-        given `covered`, its count of True entries."""
-        view = cls.__new__(cls)
-        view._ranks, view._family, view._ends = None, family.view(), None
-        view._family.flags.writeable = False
-        view._len, view.n, view.k = len(family) - covered, n, k
-        return view
+    def __init__(self, family: np.ndarray, n: int, k: int, covered: int):
+        self._family, self._ends = family.view(), None
+        self._family.flags.writeable = False
+        self._len, self.n, self.k = len(family) - covered, n, k
 
     @property
     def ranks(self) -> np.ndarray:
-        """The read-only int64 ranks of the entries, built on each read from a family."""
-        return self._ranks if self._family is None else self[:]._ranks
+        """The read-only int64 ranks of the entries, built on each read."""
+        ranks = np.flatnonzero(~self._family)
+        ranks.flags.writeable = False
+        return ranks
 
     def __len__(self) -> int:
         return self._len
 
     def _chunks(self) -> Iterator[np.ndarray]:
-        """The ranks of the entries, a chunk of BLOCK_ROWS ranks or family entries at a time."""
+        """The ranks of the entries, a chunk of BLOCK_ROWS family entries at a time."""
         step = BLOCK_ROWS
-        if self._family is None:
-            for lo in range(0, self._len, step):
-                yield self._ranks[lo:lo + step]
-        elif self._len:
+        if self._len:
             for lo in range(0, len(self._family), step):
                 yield np.flatnonzero(~self._family[lo:lo + step]) + lo
 
     def _between(self, lo: int, hi: int) -> np.ndarray:
         """The ranks of entries lo..hi-1, for 0 <= lo < hi <= len."""
-        if self._family is None:
-            return self._ranks[lo:hi]
         if self._ends is None:  # entries up to the end of each chunk
             step = BLOCK_ROWS
             chunks = (self._family[i:i + step] for i in range(0, len(self._family), step))
@@ -368,23 +366,18 @@ class ColorSetView(Sequence):
         ranks = np.flatnonzero(~self._family[first * step:(last + 1) * step]) + first * step
         return ranks[lo - skip:hi - skip]
 
-    def __getitem__(self, i: int | slice) -> ColorSet | ColorSetView:
+    def __getitem__(self, i: int | slice) -> ColorSet | list[ColorSet]:
         entries = range(self._len)[i]  # raises IndexError past either end
         if isinstance(i, slice):
             if not entries:
-                return ColorSetView(np.empty(0, dtype=np.int64), self.n, self.k)
+                return []
             lo, hi = sorted((entries[0], entries[-1]))
-            return ColorSetView(self._between(lo, hi + 1)[::entries.step], self.n, self.k)
-        return ColorSet.from_rank(int(self._between(entries, entries + 1)[0]), self.n, self.k)
+            return list(_color_sets(self._between(lo, hi + 1)[::entries.step], self.n, self.k))
+        return next(_color_sets(self._between(entries, entries + 1), self.n, self.k))
 
     def __iter__(self) -> Iterator[ColorSet]:
-        table = colex_table(self.n, self.k)
-        bits = [0] + [1 << c for c in range(self.n)]
         for block in self._chunks():
-            masks = [0] * len(block)
-            for column in colex_unrank(block, table).T.tolist():
-                masks = [m | bits[c] for m, c in zip(masks, column)]
-            yield from map(ColorSet, masks, block.tolist())
+            yield from _color_sets(block, self.n, self.k)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ColorSetView):

@@ -3,12 +3,12 @@
 The builder colours blocks of a fixed length, one round at a time. Each round
 draws a handful of independent uniform colourings of the block, scatters the
 colex ranks of each candidate's rainbow progressions into a copy of the
-uncovered family, with no sort, and keeps the first candidate whose copy has
-the fewest subsets left: that copy becomes the family. The output is the
-concatenation of the chosen blocks; a run succeeds when the family is empty,
-and the result is always re-checkable with verify_cover (the concatenation
-can only cover more than the blocks did in isolation, since progressions
-across block boundaries are ignored while scoring).
+coverage family, with no sort, and keeps the first candidate whose copy has
+the fewest subsets left uncovered: that copy becomes the family. The output is
+the concatenation of the chosen blocks; a run succeeds when every subset is
+covered, and the result is always re-checkable with verify_cover (the
+concatenation can only cover more than the blocks did in isolation, since
+progressions across block boundaries are ignored while scoring).
 """
 
 from __future__ import annotations
@@ -182,10 +182,11 @@ def construct_cover(n: int, k: int, params: ConstructParams) -> ConstructResult:
     positions = np.concatenate([p for _, _, p in progression_blocks(length, k)])
     trace = ConstructTrace(n=n, k=k, params=params, block_length=length)
 
-    # family, best copy so far, candidate's copy: swapped, never reallocated; the
-    # entry past the family stays False, and a repeated colour's rank -1 lands there
-    uncovered, kept, scratch = (np.ones(total + 1, dtype=bool) for _ in range(3))
-    uncovered[-1] = False
+    # family (True where covered), best copy so far, candidate's copy: swapped,
+    # never reallocated; the entry past the family stays True, where a repeated
+    # colour's rank -1 lands
+    covered, kept, scratch = (np.zeros(total + 1, dtype=bool) for _ in range(3))
+    covered[-1] = True
     before = total
     blocks: list[np.ndarray] = []
     for round_index in range(max_rounds):
@@ -195,12 +196,12 @@ def construct_cover(n: int, k: int, params: ConstructParams) -> ConstructResult:
         for _ in range(params.samples_per_round):
             colors = rng.integers(1, n + 1, size=length)
             ranks = rainbow_ranks(colors, positions, table)
-            np.copyto(scratch, uncovered)
-            scratch[ranks] = False
-            left = int(np.count_nonzero(scratch))
+            np.copyto(scratch, covered)
+            scratch[ranks] = True
+            left = total + 1 - int(np.count_nonzero(scratch))
             if best is None or left < after:
                 best, after, kept, scratch = colors, left, scratch, kept
-        uncovered, kept = kept, uncovered
+        covered, kept = kept, covered
         blocks.append(best)
         trace.rounds.append(RoundRecord(
             round=round_index,
@@ -213,7 +214,7 @@ def construct_cover(n: int, k: int, params: ConstructParams) -> ConstructResult:
     trace.rounds_used = len(blocks)
     trace.final_length = len(blocks) * length
     if before:
-        residual = ColorSetView.missing(~uncovered[:-1], n, k, total - before)
+        residual = ColorSetView(covered[:-1], n, k, total - before)
         raise RoundsExhaustedError(
             f"{len(residual)} of {total} subsets still uncovered after "
             f"{len(blocks)} rounds (limit {max_rounds})",

@@ -27,8 +27,9 @@ from .combinatorics import (
 )
 from .errors import ColoringFormatError, ParameterError
 
-# a run of anything but the ASCII whitespace that str.split splits on
-_TOKEN = re.compile(r"[^ \t\n\r\x0b\x0c\x1c-\x1f]+")
+# the ASCII whitespace that str.split splits on, and a run of anything else
+_SPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_TOKEN = re.compile(f"[^{_SPACE}]+")
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ def verify_cover(coloring: Coloring, n: int, k: int,
     if n != coloring.n:
         coloring = Coloring(coloring.colors, n)
     report = covered_family(coloring, k, record_witnesses)
-    uncovered = ColorSetView.missing(report.covered, n, k, report.covered_count)
+    uncovered = ColorSetView(report.covered, n, k, report.covered_count)
     return VerifyResult(not uncovered, uncovered, report)
 
 
@@ -212,16 +213,16 @@ def parse_coloring_text(text: str) -> list[int]:
     """Parse colour values from the text format.
 
     Values are positive integers in the ASCII digits 0-9, separated by ASCII
-    whitespace, on one line or many; a line whose first non-blank character is
-    '#' is a comment. A line that is ASCII and holds no '+' or '_' is split
-    with str.split and converted with int; any other line, or one where that
-    fails or gives a value below 1, is scanned again token by token, only to
-    raise ColoringFormatError with 1-based line/column diagnostics for its
-    first bad token.
+    whitespace, on one line or many; a line of ASCII whitespace only is blank,
+    and one whose first other character is '#' is a comment. A line that is
+    ASCII and holds no '+' or '_' is split with str.split and converted with
+    int; any other line, or one where that fails or gives a value below 1, is
+    scanned again token by token, only to raise ColoringFormatError with
+    1-based line/column diagnostics for its first bad token.
     """
     values: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.lstrip()
+        stripped = line.lstrip(_SPACE)
         if not stripped or stripped.startswith("#"):
             continue
         # int also reads '+', '_' and non-ASCII digits: such a line is rejected

@@ -45,9 +45,9 @@ class RoundsExhaustedError(RuntimeError):
     """Block construction hit its round limit with subsets still uncovered.
 
     `residual` holds the uncovered colour subsets in colex order as a read-only
-    ColorSetView over a bool family, one byte per subset of the palette, whose
-    subsets are built only when read; `trace` holds the partial construction trace
-    for diagnostics.
+    ColorSetView over the construction's own coverage family, one byte per
+    subset of the palette, shared with no copy; its subsets are built only when
+    read. `trace` holds the partial construction trace for diagnostics.
     """
 
     def __init__(self, message: str, residual=None, trace=None):

@@ -15,9 +15,10 @@ from math import comb
 
 import numpy as np
 
-# runs of anything but the ASCII whitespace that str.split splits on, and the
-# one form of a colour token: an optional minus sign and ASCII digits
-_TOKEN = re.compile(r"[^ \t\n\r\x0b\x0c\x1c-\x1f]+")
+# the ASCII whitespace that str.split splits on, runs of anything else, and
+# the one form of a colour token: an optional minus sign and ASCII digits
+_SPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_TOKEN = re.compile(f"[^{_SPACE}]+")
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
@@ -309,13 +310,13 @@ def parse_coloring_text(text: str) -> list[int]:
     """Parse colour values from the text format.
 
     Values are positive integers in ASCII digits, separated by ASCII
-    whitespace, on one line or many; a line whose first non-blank character is
-    '#' is a comment. Raises ColoringFormatError with 1-based line/column
-    diagnostics.
+    whitespace, on one line or many; a line of ASCII whitespace only is blank,
+    and one whose first other character is '#' is a comment. Raises
+    ColoringFormatError with 1-based line/column diagnostics.
     """
     values: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.lstrip()
+        stripped = line.lstrip(_SPACE)
         if not stripped or stripped.startswith("#"):
             continue
         for match in _TOKEN.finditer(line):

@@ -81,6 +81,18 @@ class TestVerify:
         assert len(record["witnesses"]) == 20
         assert record["witnesses"]["2,5,6"] == {"start": 7, "diff": 1, "length": 3}
 
+    @pytest.mark.parametrize("fmt, recorded", [("--text", False), ("--json", True)])
+    def test_witnesses_recorded_only_for_json(self, capsys, monkeypatch, golden_file,
+                                              fmt, recorded):
+        # text prints no witnesses, so it must not pay for recording them
+        calls = []
+        verify = cli.verify_cover
+        monkeypatch.setattr(cli, "verify_cover", lambda *args, **kwargs: calls.append(
+            kwargs["record_witnesses"]) or verify(*args, **kwargs))
+        code, _, _ = run_cli(capsys, "verify", "--input", golden_file, "--n", "6", "--k", "3",
+                             "--witnesses", fmt)
+        assert code == 0 and calls == [recorded]
+
     def test_witnesses_across_blocks_match_oracle(self, capsys, tmp_path):
         # the 22350 progressions of [300] fill two blocks
         colors = [(7 * i * i + 5 * i) % 40 + 1 for i in range(300)]
@@ -746,3 +758,32 @@ def test_fuzzed_argv_exit_codes(tmp_path_factory, case):
         assert out.getvalue() == "", argv
     if code == 0 and "--text" not in argv:
         validate(json.loads(out.getvalue()), argv[0])
+
+
+# argvs at the edges of each subcommand; each ran in under a second at 512 MiB,
+# the two marked ones end in a MemoryError traceback
+CAPPED_ARGVS = [
+    "estimate --n 32767 --k 2 --N 100 --trials 10000 --seed 1",
+    "estimate --n 200 --k 100 --N 300 --trials 4096 --seed 1",
+    "exact --n 60 --k 4 --budget 1000",
+    "exact --n 18 --k 17 --budget 1000",
+    "count --N 1000000 --k 3 --pairs",
+    "count --N 5790 --k 2 --pairs",
+    "construct --n 60 --k 3 --seed 0",
+    pytest.param("verify --input {uniform} --n 30 --k 12 --json", marks=pytest.mark.xfail(
+        strict=True, reason="verify --json holds all 86.5M uncovered subsets as lists")),
+    pytest.param("construct --n 18 --k 17 --seed 0", marks=pytest.mark.xfail(
+        strict=True, reason="construct holds the (h, k) int64 positions of its block")),
+]
+
+
+@pytest.mark.parametrize("argv", CAPPED_ARGVS)
+def test_argv_under_a_memory_cap(tmp_path, argv):
+    # every argv maps to an exit code, not a traceback, inside 512 MiB
+    path = tmp_path / "uniform.txt"
+    colors = np.random.default_rng(0).integers(1, 31, size=600).tolist()
+    path.write_text(" ".join(map(str, colors)) + "\n")
+    proc = run_capped(["-m", "rainbowcover.cli", *argv.format(uniform=path).split()],
+                      512 << 20, stdout=subprocess.DEVNULL)
+    assert proc.returncode in range(4)
+    assert "Traceback" not in proc.stderr and "MemoryError" not in proc.stderr

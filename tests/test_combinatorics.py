@@ -306,7 +306,9 @@ class TestColorSet:
 
     def test_view_unequal_to_tuple(self):
         # only a list or another view compares by entries
-        view = ColorSetView(np.array([0, 3]), 6, 3)
+        family = np.ones(comb(6, 3), dtype=bool)
+        family[[0, 3]] = False
+        view = ColorSetView(family, 6, 3, comb(6, 3) - 2)
         entries = [ColorSet.from_rank(0, 6, 3), ColorSet.from_rank(3, 6, 3)]
         assert view == entries
         assert view != tuple(entries) and tuple(entries) != view

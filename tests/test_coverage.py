@@ -233,10 +233,12 @@ class TestTextFormat:
         assert info.value.line == 2 and info.value.column == 3
 
     @pytest.mark.parametrize("line, column", [
-        ("1_0 2", 1), ("2 +2", 3), ("2 3 \u0663", 5), ("\uff17", 1), ("1\u30002", 1)])
+        ("1_0 2", 1), ("2 +2", 3), ("2 3 \u0663", 5), ("\uff17", 1), ("1\u30002", 1),
+        ("\u3000", 1), ("\u3000# c", 1)])
     def test_only_ascii_digits(self, line, column):
         # int() reads each of these tokens, but the format has ASCII digits
-        # and ASCII whitespace only
+        # and ASCII whitespace only, so a line of other whitespace is neither
+        # blank nor a comment
         with pytest.raises(ColoringFormatError, match="is not an integer") as info:
             parse_coloring_text("1\n" + line + "\n")
         assert (info.value.line, info.value.column) == (2, column)

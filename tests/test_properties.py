@@ -437,11 +437,11 @@ def test_scan_stops_at_the_completing_difference(case):
 
 
 @st.composite
-def colex_ranks(draw):
-    """(n, k, ranks) with C(n,k) inside the coverage-family guard; the ranks
-    always include 0 and C(n,k)-1."""
+def colex_ranks(draw, limit=FAMILY_SIZE_LIMIT):
+    """(n, k, ranks) with C(n,k) at most `limit`, by default the coverage-family
+    guard; the ranks always include 0 and C(n,k)-1."""
     n = draw(st.integers(1, 120))
-    k = draw(st.sampled_from([k for k in range(1, n + 1) if comb(n, k) <= FAMILY_SIZE_LIMIT]))
+    k = draw(st.sampled_from([k for k in range(1, n + 1) if comb(n, k) <= limit]))
     total = comb(n, k)
     ranks = draw(st.lists(st.integers(0, total - 1), max_size=30))
     return n, k, sorted({0, total - 1, *ranks})
@@ -462,17 +462,24 @@ def test_colex_unrank_matches_subset_unrank(case):
         assert tuple(row) == oracles.subset_unrank(rank, k)
     assert rainbow_ranks(np.arange(1, n + 1), colors - 1, table).tolist() == ranks
     expected = [oracle_color_set(r, k) for r in ranks]
-    assert ColorSetView(np.array(ranks, dtype=np.int64), n, k) == expected
+    assert [ColorSet.from_rank(r, n, k) for r in ranks] == expected
+
+
+def missing_view(ranks, n, k):
+    """The view of a family over the C(n,k) colex ranks that is False at `ranks`."""
+    family = np.ones(comb(n, k), dtype=bool)
+    family[ranks] = False
+    return ColorSetView(family, n, k, int(np.count_nonzero(family)))
 
 
 @settings(deadline=None)
-@given(colex_ranks())
+@given(colex_ranks(1 << 20))
 @example((100, 98, [0, 1, comb(100, 98) // 2, comb(100, 98) - 1]))
 @example((120, 3, [0, 1000, comb(120, 3) - 1]))
 def test_color_set_view_matches_from_rank(case):
     n, k, ranks = case
     expected = [oracle_color_set(r, k) for r in ranks]
-    view = ColorSetView(np.array(ranks, dtype=np.int64), n, k)
+    view = missing_view(ranks, n, k)
     assert len(view) == len(expected) and view
     assert [view[i] for i in range(-len(view), len(view))] == expected + expected
     for i in (len(view), -len(view) - 1):
@@ -480,21 +487,23 @@ def test_color_set_view_matches_from_rank(case):
             view[i]
     for part in (slice(1, None), slice(None, None, 2), slice(None, None, -1),
                  slice(len(view), None)):
-        assert isinstance(view[part], ColorSetView)
-        assert view[part] == expected[part] and expected[part] == view[part]
-    # unrank batches of 2 ranks, so iteration crosses batches whenever len > 2
-    with mock.patch.object(combinatorics, "BLOCK_ROWS", 2):
+        assert isinstance(view[part], list) and view[part] == expected[part]
+    # about four chunks of the family, at least 2 entries each, so iteration
+    # crosses chunks whenever C(n,k) > 2
+    with mock.patch.object(combinatorics, "BLOCK_ROWS", max(2, comb(n, k) // 4)):
         assert list(view) == expected
     assert view == expected and expected == view
     assert view != expected[:-1] and expected[:-1] != view
     if len(expected) > 1:
         assert view != expected[::-1] and expected[::-1] != view
-    assert view == ColorSetView(np.array(ranks), n, k) and view[:-1] != view
+    assert view == missing_view(ranks, n, k) and view[:-1] != view
     assert view.colors() == [list(cs.colors) for cs in expected]
-    empty = view[len(view):]
-    assert not empty and empty == [] and [] == empty and empty.colors() == []
+    assert view.ranks.tolist() == ranks
     with pytest.raises(ValueError):
         view.ranks[0] = 1
+    empty = missing_view([], n, k)
+    assert not empty and empty == [] and [] == empty and empty.colors() == []
+    assert list(empty) == [] and empty[:] == [] and empty.ranks.tolist() == []
 
 
 @st.composite
@@ -513,14 +522,14 @@ def families(draw):
 @example((70, 1, np.zeros(70, dtype=bool)), 2)
 @example((70, 69, np.ones(70, dtype=bool)), 2)
 @example((5, 2, np.arange(10) % 3 == 0), 2)
-def test_family_view_matches_ranks_view(case, chunk):
-    # the False entries of a family, against a view of their ranks; every
-    # read scans the family `chunk` entries at a time
+def test_family_view_matches_oracle(case, chunk):
+    # the False entries of a family, against the oracle ColorSets of their
+    # ranks; every read scans the family `chunk` entries at a time
     n, k, family = case
-    expected = ColorSetView(np.flatnonzero(~family), n, k)
-    entries = list(expected)
+    ranks = np.flatnonzero(~family).tolist()
+    entries = [oracle_color_set(r, k) for r in ranks]
     with mock.patch.object(combinatorics, "BLOCK_ROWS", chunk):
-        view = ColorSetView.missing(family, n, k, int(np.count_nonzero(family)))
+        view = ColorSetView(family, n, k, int(np.count_nonzero(family)))
         assert len(view) == len(entries) and bool(view) == bool(entries)
         assert list(view) == entries
         assert [view[i] for i in range(-len(view), len(view))] == entries + entries
@@ -529,15 +538,12 @@ def test_family_view_matches_ranks_view(case, chunk):
                 view[i]
         for part in (slice(None), slice(1, None), slice(2, -1), slice(None, None, 2),
                      slice(1, None, 2), slice(None, None, -1), slice(-2, 0, -1)):
-            assert isinstance(view[part], ColorSetView)
-            assert view[part] == entries[part] and entries[part] == view[part]
-            assert view[part] == expected[part] and expected[part] == view[part]
+            assert isinstance(view[part], list) and view[part] == entries[part]
         assert view == entries and entries == view
-        assert view == expected and expected == view
         if entries:
             assert view != entries[:-1] and entries[:-1] != view and view[:-1] != view
-        assert view.colors() == expected.colors() == [list(cs.colors) for cs in entries]
-    assert np.array_equal(view.ranks, expected.ranks)
+        assert view.colors() == [list(cs.colors) for cs in entries]
+    assert view.ranks.tolist() == ranks
     with pytest.raises(ValueError):
         view.ranks[:1] = 0
 
