@@ -9,6 +9,8 @@ it; silent nondeterminism is never an option.
 Each cmd_* returns (exit code, JSON record, text lines), and main prints the
 record or the lines, so there is one output path. This module renders every
 record: the library computes, and only the colouring file format lives there.
+A record may hold lazy lists of uncovered subsets, which main encodes as it
+writes them, so neither format holds them all.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import secrets
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from typing import Iterable, Optional
 
 from .bounds import (
@@ -29,7 +31,7 @@ from .bounds import (
     count_intersecting_pairs,
     estimate_cover_probability,
 )
-from .combinatorics import colex_table, colex_unrank, count_progressions
+from .combinatorics import ColorSetView, colex_table, colex_unrank, count_progressions
 from .construct import (
     ConstructParams,
     block_length,
@@ -92,6 +94,19 @@ def _write_files(texts: list[tuple[str, str]]) -> None:
             handle.write(text)
 
 
+class _ColorLists(list):
+    """A JSON array of a ColorSetView's colour lists, unranked as it is encoded."""
+
+    def __init__(self, view: ColorSetView):
+        self._view = view
+
+    def __iter__(self):
+        return self._view.iter_colors()
+
+    def __len__(self) -> int:
+        return len(self._view)
+
+
 def fraction_json(value: Fraction) -> dict:
     """Render an exact rational as {numerator, denominator, decimal_30_digits}."""
     with decimal.localcontext() as ctx:
@@ -115,7 +130,7 @@ def coverage_report_dict(coloring: Coloring, result: VerifyResult) -> dict:
         "complete": result.complete,
         "covered_count": report.covered_count,
         "total": report.total,
-        "uncovered": result.uncovered.colors(),
+        "uncovered": _ColorLists(result.uncovered),
     }
     witnesses = report.witnesses
     if witnesses is not None:
@@ -136,14 +151,13 @@ def cmd_verify(args) -> Outcome:
     result = verify_cover(coloring, args.n, args.k,
                           record_witnesses=args.witnesses and args.format == "json")
     record = _record(args, "input", "n", "k", "witnesses")
-    if args.format == "json":  # text prints no record: unrank the lines instead
-        record.update(coverage_report_dict(coloring, result))
+    record.update(coverage_report_dict(coloring, result))
     head = [
         f"n={args.n} k={args.k} N={coloring.N}",
         f"covered {result.report.covered_count}/{result.report.total} subsets",
         "complete" if result.complete else "INCOMPLETE",
     ]
-    # lazy, so JSON output never formats the uncovered lines
+    # lazy, like the record's list: a format unranks only what it prints
     lines = chain(head, map("  uncovered: {}".format, result.uncovered.iter_colors()))
     return EXIT_OK if result.complete else EXIT_INCOMPLETE, record, lines
 
@@ -166,8 +180,7 @@ def cmd_construct(args) -> Outcome:
     except RoundsExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         record["error"] = "rounds-exhausted"
-        if args.format == "json":  # text prints no record: skip the unranking
-            record["residual"] = exc.residual.colors()
+        record["residual"] = _ColorLists(exc.residual)
         record["rounds_used"] = exc.trace.rounds_used
         return EXIT_BUDGET, record, []
 
@@ -394,11 +407,22 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (BudgetExceededError, RoundsExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    if args.format == "json":
-        print(json.dumps(record, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.format == "json":
+            # the encoder json.dumps(indent=2) runs, read in batches of chunks
+            chunks = json.JSONEncoder(indent=2).iterencode(record)
+            while batch := "".join(islice(chunks, 1 << 16)):
+                sys.stdout.write(batch)
+            sys.stdout.write("\n")
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # keep the interpreter's flush at exit from failing on the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return EXIT_INPUT
     return code
 
 

@@ -393,7 +393,3 @@ class ColorSetView(Sequence):
         table = colex_table(self.n, self.k)
         for block in self._chunks():
             yield from colex_unrank(block, table).tolist()
-
-    def colors(self) -> list[list[int]]:
-        """The ascending colours of every entry."""
-        return list(self.iter_colors())

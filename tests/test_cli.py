@@ -43,23 +43,39 @@ def validate(record, name):
     jsonschema.validate(record, json.loads(schema_text))
 
 
+def cli_env():
+    """The environment of a `python -m rainbowcover.cli` subprocess: the package
+    importable, and one BLAS thread to keep the base reservation small."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_capped(args, limit, stdout=subprocess.PIPE):
-    """Run `python *args` with the package importable and the address space
-    capped at `limit` bytes; one BLAS thread keeps the base reservation small."""
+    """Run `python *args` in cli_env() with the address space capped at `limit` bytes."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
-                          text=True, env=env, timeout=120, preexec_fn=cap)
+                          text=True, env=cli_env(), timeout=120, preexec_fn=cap)
 
 
 @pytest.fixture
 def golden_file(tmp_path):
     path = tmp_path / "golden.txt"
     path.write_text(GOLDEN_TEXT)
+    return str(path)
+
+
+# a length-60 colouring over 70 colours that leaves 54,461 of the C(70,3)
+# subsets uncovered, about 2 MB of output in either format
+WIDE_COLORS = [(7 * i * i + 3 * i) % 70 + 1 for i in range(60)]
+
+
+@pytest.fixture
+def wide_file(tmp_path):
+    path = tmp_path / "wide.txt"
+    path.write_text(" ".join(map(str, WIDE_COLORS)) + "\n")
     return str(path)
 
 
@@ -176,16 +192,50 @@ class TestVerify:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == f"86491912 {tuple(range(1, 13))} {tuple(range(19, 31))}\n"
 
-    def test_text_under_a_memory_cap(self, tmp_path):
-        # 646,646 uncovered subsets of size 10: the lines are unranked a chunk
-        # at a time, where a list of all their colours needs over 150 MB
+    @pytest.mark.parametrize("fmt", ["--text", "--json"])
+    def test_text_under_a_memory_cap(self, tmp_path, fmt):
+        # 646,646 uncovered subsets of size 10: the lines or the JSON array are
+        # unranked a chunk at a time, where a list of all their colours needs
+        # over 150 MB
         path = tmp_path / "uniform.txt"
         colors = np.random.default_rng(0).integers(1, 23, size=300).tolist()
         path.write_text(" ".join(map(str, colors)) + "\n")
         proc = run_capped(["-m", "rainbowcover.cli", "verify", "--input", str(path),
-                           "--n", "22", "--k", "10", "--text"], 192 << 20,
+                           "--n", "22", "--k", "10", fmt], 192 << 20,
                           stdout=subprocess.DEVNULL)
         assert (proc.returncode, proc.stderr) == (1, "")
+
+    def test_json_streams_uncovered_across_blocks(self, capsys, wide_file):
+        # the uncovered subsets span four view chunks and several batches of
+        # encoder chunks; the stream must equal json.dumps of plain lists
+        code, out, _ = run_cli(capsys, "verify", "--input", wide_file, "--n", "70", "--k", "3",
+                               "--json")
+        covered = {oracles.subset_rank(s)
+                   for s in oracles.first_witnesses(tuple(WIDE_COLORS), 3)}
+        uncovered = [list(oracles.subset_unrank(r, 3)) for r in range(comb(70, 3))
+                     if r not in covered]
+        record = {
+            "command": "verify",
+            "params": {"input": wide_file, "n": 70, "k": 3, "witnesses": False},
+            "n": 70, "k": 3, "N": 60, "complete": False,
+            "covered_count": len(covered), "total": comb(70, 3), "uncovered": uncovered,
+        }
+        assert len(uncovered) == 54461
+        assert code == 1 and out == json.dumps(record, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["--text", "--json"])
+    def test_closed_stdout_exit_two(self, wide_file, fmt):
+        # the reader stops after a few bytes of the output
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rainbowcover.cli", "verify", "--input", wide_file,
+             "--n", "70", "--k", "3", fmt], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, env=cli_env())
+        assert proc.stdout.read(100)
+        proc.stdout.close()
+        code, err = proc.wait(timeout=60), proc.stderr.read()
+        proc.stderr.close()
+        assert code == 2 and err.startswith("error: ")
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 class TestConstruct:
@@ -262,12 +312,20 @@ class TestConstruct:
 
     def test_rounds_exhausted_text_renders_no_residual(self, capsys, monkeypatch):
         calls = []
-        render = ColorSetView.colors
-        monkeypatch.setattr(ColorSetView, "colors",
+        render = ColorSetView.iter_colors
+        monkeypatch.setattr(ColorSetView, "iter_colors",
                             lambda view: calls.append(len(view)) or render(view))
         code, out, _ = run_cli(capsys, "construct", "--n", "200", "--k", "3", "--seed", "5",
                                "--samples", "1", "--max-rounds", "1", "--text")
         assert code == 3 and out == "" and calls == []
+
+    def test_residual_under_a_memory_cap(self):
+        # 539,620 residual subsets: the JSON array is unranked as it is written
+        proc = run_capped(["-m", "rainbowcover.cli", "construct", "--n", "200", "--k", "3",
+                           "--seed", "5", "--samples", "1", "--max-rounds", "1", "--json"],
+                          192 << 20, stdout=subprocess.DEVNULL)
+        assert (proc.returncode, proc.stderr) == (3, "error: 539620 of 1313400 subsets still "
+                                                     "uncovered after 1 rounds (limit 1)\n")
 
 
 class TestCount:
@@ -761,7 +819,7 @@ def test_fuzzed_argv_exit_codes(tmp_path_factory, case):
 
 
 # argvs at the edges of each subcommand; each ran in under a second at 512 MiB,
-# the two marked ones end in a MemoryError traceback
+# the marked one ends in a MemoryError traceback
 CAPPED_ARGVS = [
     "estimate --n 32767 --k 2 --N 100 --trials 10000 --seed 1",
     "estimate --n 200 --k 100 --N 300 --trials 4096 --seed 1",
@@ -770,20 +828,15 @@ CAPPED_ARGVS = [
     "count --N 1000000 --k 3 --pairs",
     "count --N 5790 --k 2 --pairs",
     "construct --n 60 --k 3 --seed 0",
-    pytest.param("verify --input {uniform} --n 30 --k 12 --json", marks=pytest.mark.xfail(
-        strict=True, reason="verify --json holds all 86.5M uncovered subsets as lists")),
     pytest.param("construct --n 18 --k 17 --seed 0", marks=pytest.mark.xfail(
         strict=True, reason="construct holds the (h, k) int64 positions of its block")),
 ]
 
 
 @pytest.mark.parametrize("argv", CAPPED_ARGVS)
-def test_argv_under_a_memory_cap(tmp_path, argv):
+def test_argv_under_a_memory_cap(argv):
     # every argv maps to an exit code, not a traceback, inside 512 MiB
-    path = tmp_path / "uniform.txt"
-    colors = np.random.default_rng(0).integers(1, 31, size=600).tolist()
-    path.write_text(" ".join(map(str, colors)) + "\n")
-    proc = run_capped(["-m", "rainbowcover.cli", *argv.format(uniform=path).split()],
-                      512 << 20, stdout=subprocess.DEVNULL)
+    proc = run_capped(["-m", "rainbowcover.cli", *argv.split()], 512 << 20,
+                      stdout=subprocess.DEVNULL)
     assert proc.returncode in range(4)
     assert "Traceback" not in proc.stderr and "MemoryError" not in proc.stderr

@@ -497,12 +497,12 @@ def test_color_set_view_matches_from_rank(case):
     if len(expected) > 1:
         assert view != expected[::-1] and expected[::-1] != view
     assert view == missing_view(ranks, n, k) and view[:-1] != view
-    assert view.colors() == [list(cs.colors) for cs in expected]
+    assert list(view.iter_colors()) == [list(cs.colors) for cs in expected]
     assert view.ranks.tolist() == ranks
     with pytest.raises(ValueError):
         view.ranks[0] = 1
     empty = missing_view([], n, k)
-    assert not empty and empty == [] and [] == empty and empty.colors() == []
+    assert not empty and empty == [] and [] == empty and list(empty.iter_colors()) == []
     assert list(empty) == [] and empty[:] == [] and empty.ranks.tolist() == []
 
 
@@ -542,7 +542,7 @@ def test_family_view_matches_oracle(case, chunk):
         assert view == entries and entries == view
         if entries:
             assert view != entries[:-1] and entries[:-1] != view and view[:-1] != view
-        assert view.colors() == [list(cs.colors) for cs in entries]
+        assert list(view.iter_colors()) == [list(cs.colors) for cs in entries]
     assert view.ranks.tolist() == ranks
     with pytest.raises(ValueError):
         view.ranks[:1] = 0
