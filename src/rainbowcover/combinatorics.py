@@ -8,7 +8,6 @@ between threads.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -321,19 +320,18 @@ def _color_sets(ranks: np.ndarray, n: int, k: int) -> Iterator[ColorSet]:
     return map(ColorSet, masks, ranks.tolist())
 
 
-class ColorSetView(Sequence):
-    """Read-only sequence of the k-subsets of [n] whose entries are False in a
-    bool family over all C(n,k) colex ranks, in colex order, read as ColorSet.
+class ColorSetView:
+    """Read-only forward view of the k-subsets of [n] whose entries are False
+    in a bool family over all C(n,k) colex ranks, read as ColorSet in colex order.
 
     The view shares the family, one byte per subset, with no copy; `covered`
-    counts its True entries. It reads the family BLOCK_ROWS entries at a time:
-    iteration unranks a chunk, an index finds its chunk from per-chunk counts
-    made on first use, and a slice unranks only its own entries, into a list.
-    A view equals a list when the two are equal entry by entry.
+    counts its True entries. Iteration reads the family BLOCK_ROWS entries at a
+    time and unranks each chunk at once. There is no indexing or equality:
+    read `ranks`, or compare `list(view)`.
     """
 
     def __init__(self, family: np.ndarray, n: int, k: int, covered: int):
-        self._family, self._ends = family.view(), None
+        self._family = family.view()
         self._family.flags.writeable = False
         self._len, self.n, self.k = len(family) - covered, n, k
 
@@ -354,39 +352,9 @@ class ColorSetView(Sequence):
             for lo in range(0, len(self._family), step):
                 yield np.flatnonzero(~self._family[lo:lo + step]) + lo
 
-    def _between(self, lo: int, hi: int) -> np.ndarray:
-        """The ranks of entries lo..hi-1, for 0 <= lo < hi <= len."""
-        if self._ends is None:  # entries up to the end of each chunk
-            step = BLOCK_ROWS
-            chunks = (self._family[i:i + step] for i in range(0, len(self._family), step))
-            self._ends = step, np.cumsum([len(c) - np.count_nonzero(c) for c in chunks])
-        step, ends = self._ends
-        first, last = ends.searchsorted([lo, hi - 1], side="right").tolist()
-        skip = int(ends[first - 1]) if first else 0
-        ranks = np.flatnonzero(~self._family[first * step:(last + 1) * step]) + first * step
-        return ranks[lo - skip:hi - skip]
-
-    def __getitem__(self, i: int | slice) -> ColorSet | list[ColorSet]:
-        entries = range(self._len)[i]  # raises IndexError past either end
-        if isinstance(i, slice):
-            if not entries:
-                return []
-            lo, hi = sorted((entries[0], entries[-1]))
-            return list(_color_sets(self._between(lo, hi + 1)[::entries.step], self.n, self.k))
-        return next(_color_sets(self._between(entries, entries + 1), self.n, self.k))
-
     def __iter__(self) -> Iterator[ColorSet]:
         for block in self._chunks():
             yield from _color_sets(block, self.n, self.k)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ColorSetView):
-            # equal ranks give equal entries when k agrees or there are none
-            return (len(self) == len(other) and (self.k == other.k or not len(self))
-                    and np.array_equal(self.ranks, other.ranks))
-        if isinstance(other, list):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
 
     def iter_colors(self) -> Iterator[list[int]]:
         """The ascending colours of each entry, unranked a chunk at a time."""

@@ -130,8 +130,8 @@ class CoverageReport:
 
 @dataclass
 class VerifyResult:
-    """`uncovered` is a read-only ColorSetView over the False entries of
-    `report.covered`, with no copy; it unranks a subset only when one is read."""
+    """`uncovered` is a read-only forward ColorSetView over the False entries of
+    `report.covered`, with no copy, unranked only as it is iterated."""
 
     complete: bool
     uncovered: ColorSetView

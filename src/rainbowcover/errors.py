@@ -45,12 +45,12 @@ class RoundsExhaustedError(RuntimeError):
     """Block construction hit its round limit with subsets still uncovered.
 
     `residual` holds the uncovered colour subsets in colex order as a read-only
-    ColorSetView over the construction's own coverage family, one byte per
-    subset of the palette, shared with no copy; its subsets are built only when
-    read. `trace` holds the partial construction trace for diagnostics.
+    forward ColorSetView over the construction's own coverage family, one byte
+    per subset, shared with no copy; its subsets are built only as it is
+    iterated. `trace` holds the partial construction trace. Both are required.
     """
 
-    def __init__(self, message: str, residual=None, trace=None):
+    def __init__(self, message: str, *, residual, trace):
         super().__init__(message)
-        self.residual = residual if residual is not None else []
+        self.residual = residual
         self.trace = trace

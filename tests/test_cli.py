@@ -186,8 +186,11 @@ class TestVerify:
             "import numpy as np",
             "from rainbowcover.coverage import Coloring, verify_cover",
             "colors = np.random.default_rng(0).integers(1, 31, size=600).tolist()",
-            "uncovered = verify_cover(Coloring(tuple(colors), 30), 30, 12).uncovered",
-            "print(len(uncovered), uncovered[0].colors, uncovered[-1].colors)"])
+            "from rainbowcover.combinatorics import ColorSet",
+            "result = verify_cover(Coloring(tuple(colors), 30), 30, 12)",
+            "uncovered, f = result.uncovered, result.report.covered",
+            "last = ColorSet.from_rank(len(f) - 1 - int(np.argmin(f[::-1])), 30, 12)",
+            "print(len(uncovered), next(iter(uncovered)).colors, last.colors)"])
         proc = run_capped(["-c", code], 640 << 20)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == f"86491912 {tuple(range(1, 13))} {tuple(range(19, 31))}\n"

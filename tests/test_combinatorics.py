@@ -305,10 +305,11 @@ class TestColorSet:
             ColorSet.from_colors([1, 7], 6)
 
     def test_view_unequal_to_tuple(self):
-        # only a list or another view compares by entries
+        # a view has no equality of its own: compare list(view)
         family = np.ones(comb(6, 3), dtype=bool)
         family[[0, 3]] = False
         view = ColorSetView(family, 6, 3, comb(6, 3) - 2)
         entries = [ColorSet.from_rank(0, 6, 3), ColorSet.from_rank(3, 6, 3)]
-        assert view == entries
+        assert list(view) == entries
+        assert view != entries and entries != view
         assert view != tuple(entries) and tuple(entries) != view

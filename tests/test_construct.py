@@ -234,7 +234,7 @@ class TestConstructCover:
         residual = info.value.residual
         assert len(residual) == info.value.trace.rounds[-1].family_after
         assert [cs.rank for cs in residual] == sorted({cs.rank for cs in residual})
-        assert residual == [ColorSet.from_rank(cs.rank, 20, 3) for cs in residual]
+        assert list(residual) == [ColorSet.from_rank(cs.rank, 20, 3) for cs in residual]
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):

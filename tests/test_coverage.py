@@ -156,7 +156,7 @@ class TestCoveredFamily:
 class TestVerifyCover:
     def test_identity_three(self):
         result = verify_cover(Coloring((1, 2, 3), 3), 3, 3)
-        assert result.complete and result.uncovered == []
+        assert result.complete and list(result.uncovered) == []
 
     def test_four_positions_four_colours(self):
         # only {1,2,3} and {2,3,4} lie on progressions of [4]

@@ -481,29 +481,17 @@ def test_color_set_view_matches_from_rank(case):
     expected = [oracle_color_set(r, k) for r in ranks]
     view = missing_view(ranks, n, k)
     assert len(view) == len(expected) and view
-    assert [view[i] for i in range(-len(view), len(view))] == expected + expected
-    for i in (len(view), -len(view) - 1):
-        with pytest.raises(IndexError):
-            view[i]
-    for part in (slice(1, None), slice(None, None, 2), slice(None, None, -1),
-                 slice(len(view), None)):
-        assert isinstance(view[part], list) and view[part] == expected[part]
     # about four chunks of the family, at least 2 entries each, so iteration
     # crosses chunks whenever C(n,k) > 2
     with mock.patch.object(combinatorics, "BLOCK_ROWS", max(2, comb(n, k) // 4)):
         assert list(view) == expected
-    assert view == expected and expected == view
-    assert view != expected[:-1] and expected[:-1] != view
-    if len(expected) > 1:
-        assert view != expected[::-1] and expected[::-1] != view
-    assert view == missing_view(ranks, n, k) and view[:-1] != view
-    assert list(view.iter_colors()) == [list(cs.colors) for cs in expected]
+        assert list(view.iter_colors()) == [list(cs.colors) for cs in expected]
     assert view.ranks.tolist() == ranks
     with pytest.raises(ValueError):
         view.ranks[0] = 1
     empty = missing_view([], n, k)
-    assert not empty and empty == [] and [] == empty and list(empty.iter_colors()) == []
-    assert list(empty) == [] and empty[:] == [] and empty.ranks.tolist() == []
+    assert not empty and list(empty) == [] and list(empty.iter_colors()) == []
+    assert empty.ranks.tolist() == []
 
 
 @st.composite
@@ -532,16 +520,6 @@ def test_family_view_matches_oracle(case, chunk):
         view = ColorSetView(family, n, k, int(np.count_nonzero(family)))
         assert len(view) == len(entries) and bool(view) == bool(entries)
         assert list(view) == entries
-        assert [view[i] for i in range(-len(view), len(view))] == entries + entries
-        for i in (len(view), -len(view) - 1):
-            with pytest.raises(IndexError):
-                view[i]
-        for part in (slice(None), slice(1, None), slice(2, -1), slice(None, None, 2),
-                     slice(1, None, 2), slice(None, None, -1), slice(-2, 0, -1)):
-            assert isinstance(view[part], list) and view[part] == entries[part]
-        assert view == entries and entries == view
-        if entries:
-            assert view != entries[:-1] and entries[:-1] != view and view[:-1] != view
         assert list(view.iter_colors()) == [list(cs.colors) for cs in entries]
     assert view.ranks.tolist() == ranks
     with pytest.raises(ValueError):
@@ -554,7 +532,7 @@ def test_uncovered_list_across_blocks():
     result = verify_cover(coloring, 70, 3, record_witnesses=True)
     ranks = np.flatnonzero(~result.report.covered).tolist()
     assert len(ranks) == 54461 and len(ranks) > 3 * BLOCK_ROWS
-    assert result.uncovered == [oracle_color_set(r, 3) for r in ranks]
+    assert list(result.uncovered) == [oracle_color_set(r, 3) for r in ranks]
     assert len(result.report.witnesses) == 279
     # digest of the report computed before the uncovered list was batch-unranked
     text = json.dumps(coverage_report_dict(coloring, result), sort_keys=True,
