@@ -94,6 +94,11 @@ def _write_files(texts: list[tuple[str, str]]) -> None:
             handle.write(text)
 
 
+def _json_lines(records: Iterable[dict]) -> str:
+    """The records as JSON lines, one compact object each."""
+    return "".join(json.dumps(rec) + "\n" for rec in records)
+
+
 class _ColorLists(list):
     """A JSON array of a ColorSetView's colour lists, unranked as it is encoded."""
 
@@ -190,7 +195,7 @@ def cmd_construct(args) -> Outcome:
         raise AssertionError("internal error: constructed colouring failed verification")
 
     coloring_text = format_coloring(result.coloring, coloring_header(trace))
-    trace_text = "".join(json.dumps(rec) + "\n" for rec in rounds)
+    trace_text = _json_lines(rounds)
     _write_files([(path, text) for path, text in [(args.output, coloring_text),
                                                   (args.trace, trace_text)] if path])
 
@@ -287,9 +292,12 @@ def cmd_estimate(args) -> Outcome:
 def cmd_exact(args) -> Outcome:
     config = SearchConfig(max_N=args.max_N, node_budget=args.budget)
     record = _record(args, "n", "k", "max_N", "budget")
+    trace: list[dict] = []
     try:
-        result = ac_exact(args.n, args.k, config)
+        result = ac_exact(args.n, args.k, config, trace)
     except BudgetExceededError as exc:
+        if args.trace:
+            _write_files([(args.trace, _json_lines(trace))])
         print(f"error: {exc}", file=sys.stderr)
         record.update({
             "error": "budget-exceeded",
@@ -307,9 +315,10 @@ def cmd_exact(args) -> Outcome:
         "refuted_up_to": result.refuted_up_to,
         "method": METHOD,
     })
-    if args.output:
-        header = {"n": args.n, "k": args.k, "ac": result.value, "method": METHOD}
-        _write_files([(args.output, format_coloring(result.witness, header))])
+    header = {"n": args.n, "k": args.k, "ac": result.value, "method": METHOD}
+    _write_files([(path, text) for path, text in [
+        (args.output, format_coloring(result.witness, header)),
+        (args.trace, _json_lines(trace))] if path])
     lines = [
         f"ac({args.n},{args.k}) = {result.value} [{METHOD}, computed by this tool]",
         f"witness: {' '.join(map(str, result.witness.colors))}",
@@ -392,6 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                    help="search-node budget")
     p.add_argument("--output", help="write the witness colouring text here")
+    p.add_argument("--trace", help="write one JSON line per interval length decided here")
 
     return parser
 

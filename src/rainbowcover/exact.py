@@ -2,7 +2,7 @@
 
 Positions are coloured left to right. A progression is finalized exactly once,
 at the step that colours its last element, so coverage is maintained
-incrementally and undone on the way back. Three accelerations:
+incrementally and undone on the way back. Four accelerations:
 
 * prefix-class prune: a progression not yet finalized can still cover at most
   one subset, a superset of the colour mask P of its coloured terms, and none
@@ -34,16 +34,31 @@ incrementally and undone on the way back. Three accelerations:
   raises B by one at most, so the node first tests B after the leave plus
   one per arriving progression, and makes the arrivals only if that passes. A cut node is still counted and charged to the budget: no node
   count or witness changes, only the order in which classes get numbers.
+* colour-occurrence cut: each uncovered k-set containing colour c needs its
+  own unfinalized progression with a term of colour c. A_c such
+  progressions run through the positions already coloured c, counted once
+  per position, and at most M_i through any one of the positions i.. left,
+  so c needs ceil((U_c - A_c) / M_i) of those positions, where U_c counts
+  the uncovered k-sets containing c (C(n-1, k-1) for an unused colour); the
+  branch is cut when these needs add up to more than N - i. slack[c] =
+  U_c - A_c is kept like gap: the progressions ending at a position give
+  their earlier terms back once for all colours, the colour tried takes the
+  progressions through the position that go on past it, and a cover lowers
+  the slack of each of its colours. Like the cut before the covers, it is
+  tested before the child's arrivals, and a cut child is still a node. At
+  the root every slack is C(n-1, k-1), so an interval with
+  n * ceil(C(n-1, k-1) / max degree) > N is refuted in no nodes.
 * symmetry breaking: colour classes are interchangeable, so the first
   occurrence of colour c is forced before the first occurrence of colour c+1.
 
 The tests check this search against the plain exhaustive DFS and the
-from-scratch prefix-class replay of tests/oracles.py.
+from-scratch replay of both cuts in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import sys
+import time
 import traceback
 from dataclasses import dataclass
 from math import comb
@@ -133,6 +148,18 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
                               slots.ravel()[order].tolist())), mid, N)
     order = np.argsort(pos[:, -1], kind="stable")
     ending = _split(reads[order, -1].tolist(), pos[:, -1], N)
+    # The colour cut's tables: drop[i] lists the earlier terms of the
+    # progressions ending at i, in the same order; ahead[i] counts those
+    # through i that go on past it; most[i] is the largest number of
+    # progressions through any of positions i.. (1 past the end and where
+    # there are none, which only weakens the cut); idle[i] is what an unused
+    # colour needs there, and no colour needs more.
+    drop = _split(pos[order, :-1].ravel().tolist(), np.repeat(pos[order, -1], k - 1), N)
+    deg = np.bincount(pos.ravel(), minlength=N + 1)
+    ahead = (deg - np.bincount(pos[:, -1], minlength=N + 1)).tolist()
+    most = np.maximum(np.maximum.accumulate(deg[::-1])[::-1], 1).tolist()
+    per_colour = comb(n - 1, k - 1)
+    idle = [-(-per_colour // m) for m in most]
     state = [0] * (N + h * (k - 2))
     # The progressions not started before position i form the empty class.
     # Its min term is min(unstarted[i], total - count), computed rather than
@@ -157,6 +184,7 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
     gap: list[int] = []
     child: list[Optional[list[Optional[int]]]] = []
     subsets: list[Optional[list[int]]] = []
+    members: list[Optional[list[int]]] = []  # the colours of each k-set class
     small: list[int] = []  # the nonempty classes with fewer than k colours
     covered: set[int] = set()  # classes of the covered k-sets
 
@@ -175,6 +203,8 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
         gap.append(-s)
         child.append([None] * (n + 1) if size < k else None)
         subsets.append(None)
+        members.append([c for c in range(1, n + 1) if mask >> (c - 1) & 1]
+                       if size == k else None)
         return P
 
     def subsets_of(R: int) -> list[int]:
@@ -198,6 +228,9 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
 
     empty = class_of(0)
     bound = 0  # sum over the nonempty classes P of min(cnt[P], sup[P])
+    # slack[c] = U_c - A_c: the uncovered k-sets containing colour c, less the
+    # unfinalized progressions through each position of colour c
+    slack = [per_colour] * (n + 1)
     colors = [0] * N
     nodes = 0
 
@@ -237,7 +270,12 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
                 gap[P] = g - 1
                 if g <= 0:
                     bound -= 1
-        saved = bound
+        # progressions ending here are finalized whatever the colour
+        for p in drop[i]:
+            slack[colors[p]] += 1
+        saved, fwd, j = bound, ahead[i], i + 1
+        m, rest, room = most[j], idle[j], N - j
+        tested = n * rest > room  # else no child can be cut
         for c in range(1, top + 1):
             nodes += 1
             if nodes > budget:
@@ -257,60 +295,82 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
             # that falls short, the child is cut without making them
             if reached + saved + s + len(moves) < need:
                 continue
-            # arrive: the starts join {c} as one block, and each moving one
-            # joins P + {c}, or is dead if P has c
-            if s:
-                single = child[empty][c]
-                if single is None:
-                    single = nxt(empty, c)
-                state[i] = single
-                g = gap[single]
-                gap[single] = g + s
-                if g < 0:
-                    bound += min(s, -g)
-            for P, b in moves:
-                Q = child[P][c]
-                if Q is None:
-                    Q = nxt(P, c)
-                state[b] = Q
-                if Q >= 0:
-                    g = gap[Q]
-                    gap[Q] = g + 1
+            # colour c takes the progressions through i that go on past it,
+            # and each cover lowers U of its colours; the colours above
+            # `used` are unused, each needing `rest` of the `room` positions
+            slack[c] -= fwd
+            for R in fresh:
+                for b in members[R]:
+                    slack[b] -= 1
+            used = c if c > used_max else used_max
+            demand = (n - used) * rest
+            if tested:
+                for x in slack[1:used + 1]:
+                    if x > 0:
+                        demand += -(-x // m)
+            if demand <= room:
+                # arrive: the starts join {c} as one block, and each moving
+                # one joins P + {c}, or is dead if P has c
+                if s:
+                    single = child[empty][c]
+                    if single is None:
+                        single = nxt(empty, c)
+                    state[i] = single
+                    g = gap[single]
+                    gap[single] = g + s
                     if g < 0:
-                        bound += 1
-            # covers only lower bound, so when this falls short the child
-            # would be cut at entry: skip its covers and the call
-            if reached + bound >= need:
-                for R in fresh:
-                    covered.add(R)
-                    # each class inside R loses R from its uncovered supersets
-                    for S in subsets[R] or subsets_of(R):
-                        g = gap[S]
-                        gap[S] = g + 1
-                        if g >= 0:
-                            bound -= 1
-                found = rec(i + 1, reached, c if c > used_max else used_max)
-                if found is not None:
-                    return found
-                for R in fresh:
-                    covered.discard(R)
-                    for S in subsets[R] or subsets_of(R):
-                        gap[S] -= 1
-            for P, b in moves:
-                Q = state[b]
-                if Q >= 0:
-                    gap[Q] -= 1
-            if s:
-                gap[single] -= s
-            bound = saved
+                        bound += min(s, -g)
+                for P, b in moves:
+                    Q = child[P][c]
+                    if Q is None:
+                        Q = nxt(P, c)
+                    state[b] = Q
+                    if Q >= 0:
+                        g = gap[Q]
+                        gap[Q] = g + 1
+                        if g < 0:
+                            bound += 1
+                # covers only lower bound, so when this falls short the child
+                # would be cut at entry: skip its covers and the call
+                if reached + bound >= need:
+                    for R in fresh:
+                        covered.add(R)
+                        # each class inside R loses R from its uncovered supersets
+                        for S in subsets[R] or subsets_of(R):
+                            g = gap[S]
+                            gap[S] = g + 1
+                            if g >= 0:
+                                bound -= 1
+                    found = rec(j, reached, used)
+                    if found is not None:
+                        return found
+                    for R in fresh:
+                        covered.discard(R)
+                        for S in subsets[R] or subsets_of(R):
+                            gap[S] -= 1
+                for P, b in moves:
+                    Q = state[b]
+                    if Q >= 0:
+                        gap[Q] -= 1
+                if s:
+                    gap[single] -= s
+                bound = saved
+            slack[c] += fwd
+            for R in fresh:
+                for b in members[R]:
+                    slack[b] += 1
         for P, _ in moves:
             gap[P] += 1
         for P in ends:
             gap[P] += 1
+        for p in drop[i]:
+            slack[colors[p]] -= 1
         bound = entry
         colors[i] = 0
         return None
 
+    if n * idle[0] > N:  # the colour cut at the root, where every slack is C(n-1, k-1)
+        return None, 0
     found = rec(0, 0, 0)
     return found, nodes
 
@@ -340,31 +400,44 @@ def exists_cover(n: int, k: int, N: int,
     return _certified(found, n, k) if found is not None else None
 
 
-def ac_exact(n: int, k: int, config: Optional[SearchConfig] = None) -> ExactResult:
+def ac_exact(n: int, k: int, config: Optional[SearchConfig] = None,
+             trace: Optional[list[dict]] = None) -> ExactResult:
     """Smallest N admitting a covering n-colouring, with a certified witness.
 
     Scans N upward from lower_bound_N(n, k); every returned witness is re-run
     through verify_cover. The node budget is shared across the whole scan, and
-    a budget failure reports the largest N that was fully refuted.
+    a budget failure reports the largest N that was fully refuted. Given a
+    list `trace`, appends {N, outcome, nodes, seconds} for each N decided,
+    outcome "refuted" or "found", and on a budget failure one "undecided"
+    record for the N it was deciding.
     """
     _check_family_size(n, k)
     config = config or SearchConfig()
     N = lower_bound_N(n, k)
     budget_left = config.node_budget
     total_nodes = 0
+
+    def log(outcome: str, nodes: int, start: float) -> None:
+        if trace is not None:
+            trace.append({"N": N, "outcome": outcome, "nodes": nodes,
+                          "seconds": round(time.perf_counter() - start, 6)})
+
     while True:
         if config.max_N is not None and N > config.max_N:
             raise BudgetExceededError(
                 f"no cover found up to max_N = {config.max_N}",
                 nodes_explored=total_nodes, refuted_up_to=N - 1)
+        start = time.perf_counter()
         try:
             found, nodes = _search(n, k, N, budget_left)
         except BudgetExceededError as exc:
+            log("undecided", exc.nodes_explored or 0, start)
             raise BudgetExceededError(
                 str(exc) if exc.nodes_explored is None else  # the depth limit, not the budget
                 f"node budget {config.node_budget} exhausted while deciding N = {N}",
                 nodes_explored=total_nodes + (exc.nodes_explored or 0),
                 refuted_up_to=N - 1) from None
+        log("refuted" if found is None else "found", nodes, start)
         total_nodes += nodes
         budget_left -= nodes
         if found is not None:

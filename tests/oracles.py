@@ -253,23 +253,45 @@ def exhaustive_ac(n: int, k: int, first_N: int):
         N += 1
 
 
-def prefix_bound_search(n: int, k: int, N: int):
+def prefix_bound_search(n: int, k: int, N: int, colour_test: bool = True):
     """(first covering colouring, nodes) of the pruned exact search, replayed.
 
     The same depth-first order as the package's search: colours 1..n in
     turn, each new colour at most one above the largest used so far, and the
     rest filled with colour 1 once everything is covered. A node is one
-    colour assignment. The prefix-class bound is recomputed from scratch at
-    every node: each progression with an uncoloured term whose coloured terms
-    have distinct colours P can still cover one uncovered k-set containing P,
-    so the branch is cut when the covered sets plus the sum over the classes
-    P of min(#progressions, #uncovered k-sets containing P) fall short of
-    C(n, k).
+    colour assignment. Both bounds are recomputed from scratch at every node,
+    the root included. The prefix-class bound: each progression with an
+    uncoloured term whose coloured terms have distinct colours P can still
+    cover one uncovered k-set containing P, so the branch is cut when the
+    covered sets plus the sum over the classes P of min(#progressions,
+    #uncovered k-sets containing P) fall short of C(n, k). The colour test
+    (off when `colour_test` is false): each uncovered k-set containing colour
+    c needs its own progression with an uncoloured term and a term of colour
+    c. A_c such progressions run through the coloured positions of colour c,
+    counted once per position, and at most M through any one uncoloured
+    position, so c needs ceil((U_c - A_c) / M) of them, U_c being the
+    uncovered k-sets containing c; the branch is cut when these needs sum
+    past the positions left.
     """
     needed = set(all_subsets(n, k))
     progs = [progression_terms(s, d, k) for s, d in progressions(N, k)]
     colors: list[int] = []
     nodes = 0
+
+    def colours_short(i: int, uncovered) -> bool:
+        through = [sum(p in terms for terms in progs) for p in range(i + 1, N + 1)]
+        most = max(through, default=0)
+        unfinalized = [terms for terms in progs if terms[-1] > i]
+        need = 0
+        for c in range(1, n + 1):
+            U = sum(1 for s in uncovered if c in s)
+            A = sum(1 for p in range(1, i + 1) if colors[p - 1] == c
+                    for terms in unfinalized if p in terms)
+            if U > A:
+                if most == 0:
+                    return True
+                need += -(-(U - A) // most)
+        return need > N - i
 
     def rec():
         nonlocal nodes
@@ -293,6 +315,8 @@ def prefix_bound_search(n: int, k: int, N: int):
         bound = sum(min(count, sum(1 for s in uncovered if prefix <= s))
                     for prefix, count in classes.items())
         if len(covered) + bound < len(needed):
+            return None
+        if colour_test and colours_short(i, uncovered):
             return None
         for c in range(1, min(max(colors, default=0) + 1, n) + 1):
             nodes += 1

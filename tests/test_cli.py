@@ -463,14 +463,40 @@ class TestExact:
 
 
     def test_budget_used_up_exactly_exit_three(self, capsys):
-        # deciding N = 5 takes exactly 14 nodes, so none are left for N = 6
+        # deciding N = 5 takes exactly 3 nodes, so none are left for N = 6
         code, out, err = run_cli(capsys, "exact", "--n", "4", "--k", "3",
-                                 "--budget", "14")
+                                 "--budget", "3")
         assert code == 3
         record = json.loads(out)
         assert record["error"] == "budget-exceeded"
         assert record["refuted_up_to"] == 5
         assert "must be >= 1" not in err
+
+    def test_trace_one_line_per_length(self, capsys, tmp_path):
+        # N = 11 is refuted at the root, in no nodes; stdout is the same
+        # with or without the trace
+        path = tmp_path / "trace.jsonl"
+        argv = ("exact", "--n", "6", "--k", "4")
+        code, out, _ = run_cli(capsys, *argv, "--trace", str(path))
+        assert (code, out) == run_cli(capsys, *argv)[:2]
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [(r["N"], r["outcome"], r["nodes"]) for r in lines] == [
+            (11, "refuted", 0), (12, "refuted", 294), (13, "refuted", 11334),
+            (14, "found", 6912)]
+        assert sum(r["nodes"] for r in lines) == json.loads(out)["nodes_explored"]
+        assert all(r["seconds"] >= 0 for r in lines)
+
+    def test_trace_after_budget_failure(self, capsys, tmp_path):
+        # the last line is the length the budget ran out on
+        path = tmp_path / "trace.jsonl"
+        code, out, _ = run_cli(capsys, "exact", "--n", "5", "--k", "3", "--budget", "100",
+                               "--trace", str(path))
+        record = json.loads(out)
+        assert code == 3 and record["refuted_up_to"] == 8
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [(r["N"], r["outcome"], r["nodes"]) for r in lines] == [
+            (8, "refuted", 56), (9, "undecided", 45)]
+        assert sum(r["nodes"] for r in lines) == record["nodes_explored"]
 
     def test_zero_max_N_exit_two(self, capsys):
         code, out, err = run_cli(capsys, "exact", "--n", "4", "--k", "3", "--max-N", "0")
@@ -576,6 +602,8 @@ class TestCommonFlags:
         ("construct", "--n", "3", "--k", "3", "--seed", "1", "--output", "missing/cover.txt"),
         ("construct", "--n", "3", "--k", "3", "--seed", "1", "--trace", "missing/trace.jsonl"),
         ("exact", "--n", "3", "--k", "2", "--output", "missing/witness.txt"),
+        ("exact", "--n", "3", "--k", "2", "--trace", "missing/trace.jsonl"),
+        ("exact", "--n", "5", "--k", "3", "--budget", "10", "--trace", "missing/trace.jsonl"),
     ])
     def test_unwritable_output_exit_two(self, capsys, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -645,7 +673,9 @@ class TestCommonFlags:
 # print path; exact's JSON has since dropped its "symmetry_breaking" and
 # "oracle" params, and count's and bounds' JSON their pair-scan "budget" param.
 # The prefix-class prune changed only "nodes_explored" in two exact records
-# (41 -> 26, 16 -> 14).
+# (41 -> 26, 16 -> 14). The colour-occurrence cut changed "nodes_explored"
+# in the same two (26 -> 15, 14 -> 3), and "refuted_up_to" of the budget-100
+# record (7 -> 8), since that budget now refutes N = 8.
 GOLDEN = {
     "verify --input golden.txt --n 6 --k 3":
         (0, "fbd57d66869554a2956d69acf7537d829115dee9329895276009eaf027525ed2",
@@ -707,14 +737,14 @@ GOLDEN = {
         (0, "5482eca4aee82d485b25e9ef3d494f9ee3e95424ca5d18457a79a8ccbe914596",
          "0133f400245d2eab066e757862a5b0d7a37cfe50b7b652322104307d8a8e72ca", {}),
     "exact --n 4 --k 3 --output witness.txt":
-        (0, "dcbed58f54c5d9845f46dce77eea282d4435c2340da5e7cbef5cdd0e0ca1d511",
-         "8d390f5b37bb173d7721b41c84c610bbd7c01470f9908561d54c77bb093a3e3c",
+        (0, "189c3aaac9e72217b72d4a19011fcdf04fa0c3e0f659af46d0ffbf18f6adb297",
+         "7bca5e8ff7ee66fb4f66813c37375005faab9994ad8f469642aaceb9f29b177a",
          {"witness.txt": "4c4ecd6a7c03f01bac007ca7643070bf9b7df35c6626391488d534e031ffd1bf"}),
     "exact --n 5 --k 3 --budget 100":
-        (3, "d627cc801aacc32a6c2c7a1025feb5e914ee5fd631948e8cafd85e17ff67f2c9",
+        (3, "75491070869ce60538a461b87be559fe6ec9e67277a71d110f6d3223ced86a84",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {}),
     "exact --n 4 --k 3 --max-N 5":
-        (3, "82000de3559693ed34ac116c96df4523b88598c1795ae97c3c72beb92d219d85",
+        (3, "20d6bf32a12e91dc50bdbc3343f20a68a48647e8480c8132f1957edb3594fe6b",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", {}),
 }
 
@@ -783,7 +813,7 @@ def cli_argvs(draw):
     outputs = st.sampled_from(OUTPUT_FILES)
     if command in ("construct", "exact"):
         argv += maybe(["--output", draw(outputs)])
-    if command == "construct":
+    if command in ("construct", "exact"):
         argv += maybe(["--trace", draw(outputs)])
     argv += maybe(["--text"], one_in=3) + maybe(["--threads", "2"], one_in=8)
     if command in ("count", "bounds"):

@@ -34,11 +34,11 @@ KNOWN_VALUES = {
 # nodes explored and witness of the default search, pinned so that a change
 # to the DFS bookkeeping cannot silently change the order of the search
 KNOWN_SEARCHES = {
-    (4, 3): (26, (1, 1, 2, 3, 4, 1)),
-    (5, 3): (299, (1, 1, 2, 3, 4, 1, 5, 2, 3)),
+    (4, 3): (15, (1, 1, 2, 3, 4, 1)),
+    (5, 3): (155, (1, 1, 2, 3, 4, 1, 5, 2, 3)),
     (4, 4): (10, (1, 2, 3, 4)),
-    (6, 3): (37034, (1, 2, 3, 4, 5, 1, 6, 3, 2, 5, 4, 1)),
-    (6, 4): (39698, (1, 1, 2, 1, 3, 4, 5, 6, 4, 2, 1, 3, 6, 5)),
+    (6, 3): (4872, (1, 2, 3, 4, 5, 1, 6, 3, 2, 5, 4, 1)),
+    (6, 4): (18540, (1, 1, 2, 1, 3, 4, 5, 6, 4, 2, 1, 3, 6, 5)),
 }
 
 
@@ -155,8 +155,9 @@ class TestAcExact:
             assert value <= built.coloring.N, (n, k)
 
     def test_budget_error_reports_refutation(self):
+        # refuting N = 8, the first length tried, takes 56 nodes
         with pytest.raises(BudgetExceededError) as info:
-            ac_exact(5, 3, SearchConfig(node_budget=100))
+            ac_exact(5, 3, SearchConfig(node_budget=50))
         exc = info.value
         assert exc.refuted_up_to == lower_bound_N(5, 3) - 1
         assert exc.nodes_explored is not None
@@ -201,11 +202,41 @@ def small_instances(draw):
 # small_instances draws k <= 4: a cover at k = 5, and a refutation
 @example((6, 5, 11))
 @example((7, 5, 15))
+# past small_instances: the colour test refutes (6,3,10) at the root, and
+# cuts most of the other three
+@example((6, 3, 10))
+@example((6, 3, 12))
+@example((7, 3, 14))
+@example((6, 4, 13))
 def test_search_matches_prefix_bound_oracle(case):
     n, k, N = case
     assert _search(n, k, N, 10**6) == oracles.prefix_bound_search(n, k, N)
     if n**N <= 2**16:
         assert (exists_cover(n, k, N) is None) == (oracles.exhaustive_dfs(n, k, N)[0] is None)
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_instances())
+@example((6, 3, 10))
+@example((6, 3, 12))
+@example((7, 3, 14))
+@example((6, 4, 13))
+def test_colour_test_cuts_no_cover(case):
+    # the colour test cuts only subtrees that hold no cover: the search finds
+    # the first cover of the prefix-class bound alone, or none, in no more nodes
+    n, k, N = case
+    found, nodes = _search(n, k, N, 10**6)
+    plain, plain_nodes = oracles.prefix_bound_search(n, k, N, colour_test=False)
+    assert found == plain and nodes <= plain_nodes
+
+
+@pytest.mark.parametrize("case", [(6, 3, 10), (6, 3, 11), (7, 3, 13)],
+                         ids="n{0[0]}-k{0[1]}-N{0[2]}".format)
+def test_colour_test_refutes_at_the_root(case):
+    # n * ceil(C(n-1, k-1) / max degree) > N: each colour needs two of the
+    # N positions, so the search makes no node and a budget of one is enough
+    n, k, N = case
+    assert _search(n, k, N, 1) == (None, 0)
 
 
 @settings(deadline=None, max_examples=40)
@@ -227,7 +258,7 @@ def test_budget_boundary(case):
 
 # refutations past the oracles' reach, with the node counts in the README;
 # k = 5 is where most children are cut before their covers are made
-KNOWN_REFUTATIONS = {(7, 3, 14): 21_460, (7, 4, 17): 16_273, (7, 5, 17): 98_792}
+KNOWN_REFUTATIONS = {(7, 3, 14): 2_701, (7, 4, 17): 9_097, (7, 5, 17): 63_744}
 
 
 @pytest.mark.parametrize("case", sorted(KNOWN_REFUTATIONS), ids="n{0[0]}-k{0[1]}-N{0[2]}".format)
@@ -246,16 +277,16 @@ def test_cover_7_4_of_length_20():
 
 @pytest.mark.slow
 def test_ac_7_5():
-    # N = 15..18 refuted in 56 / 2,328 / 98,792 / 2,030,887 nodes, N = 19 found after 324,267
+    # N = 15..18 refuted in 3 / 1,537 / 63,744 / 1,503,803 nodes, N = 19 found after 271,860
     result = ac_exact(7, 5)
     assert result.value == 19 and result.refuted_up_to == 18
-    assert result.nodes_explored == 2_456_330
+    assert result.nodes_explored == 1_840_947
     assert verify_cover(result.witness, 7, 5).complete
     assert len(oracles.covered_sets(result.witness.colors, 5)) == 21  # C(7, 5)
 
 
 # refutations taking seconds to minutes, with the node counts in the README
-SLOW_REFUTATIONS = {(7, 3, 15): 1_025_165, (7, 4, 18): 709_515, (7, 4, 19): 27_000_036}
+SLOW_REFUTATIONS = {(7, 3, 15): 217_225, (7, 4, 18): 413_065, (7, 4, 19): 17_102_364}
 
 
 @pytest.mark.slow
@@ -266,9 +297,9 @@ def test_slow_refutations(case):
 
 @pytest.mark.slow
 def test_ac_7_3():
-    # N = 13..15 refuted in 138 / 21,460 / 1,025,165 nodes, N = 16 found after 11,747,051
+    # N = 13..15 refuted in 0 / 2,701 / 217,225 nodes, N = 16 found after 3,089,864
     result = ac_exact(7, 3)
     assert result.value == 16 and result.refuted_up_to == 15
-    assert result.nodes_explored == 12_793_814
+    assert result.nodes_explored == 3_309_790
     assert result.witness.colors == (1, 2, 3, 3, 4, 5, 6, 7, 1, 7, 5, 4, 2, 3, 6, 1)
     assert verify_cover(result.witness, 7, 3).complete
