@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -36,6 +35,9 @@ from .combinatorics import (
 )
 from .construct import block_length, make_rng, rounds
 from .errors import BudgetExceededError, ParameterError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 PAIR_MODES = ("exact-pairs", "bounded-pairs")
 
@@ -51,6 +53,7 @@ _GATHER_ENTRIES, _DRAW_LIMIT, _WORD_BITS = 1 << 20, 1 << 27, 64
 
 def _lower_bound(n: int, k: int, N: int, mode: str) -> tuple[int, tuple[int, ...], Fraction]:
     """(h, h_i, L) for [N]: h_i exact or entrywise upper bounds, per mode."""
+    from fractions import Fraction  # loads decimal too, so only when a bound is asked for
     _check_nk(n, k)
     if mode not in PAIR_MODES:
         raise ParameterError(f"pairs mode must be one of {PAIR_MODES}, got {mode!r}")

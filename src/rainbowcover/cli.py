@@ -16,15 +16,12 @@ writes them, so neither format holds them all.
 from __future__ import annotations
 
 import argparse
-import decimal
 import json
 import os
-import secrets
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 from itertools import chain, combinations, islice
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .bounds import (
     compute_bounds_report,
@@ -48,6 +45,9 @@ from .coverage import (
 from .errors import BudgetExceededError, ParameterError, RoundsExhaustedError
 from .exact import DEFAULT_NODE_BUDGET, METHOD, SearchConfig, ac_exact
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 EXIT_OK = 0
 EXIT_INCOMPLETE = 1
 EXIT_INPUT = 2
@@ -63,7 +63,7 @@ _OPTIONS = {"samples_per_round": "--samples", "max_rounds": "--max-rounds",
 def _ensure_seed(args) -> None:
     """Generate a seed into args.seed when none was given, and report it."""
     if args.seed is None:
-        args.seed = secrets.randbits(62)
+        args.seed = int.from_bytes(os.urandom(8), "big") >> 2  # as secrets.randbits(62)
         print(f"generated seed: {args.seed}", file=sys.stderr)
 
 
@@ -114,6 +114,7 @@ class _ColorLists(list):
 
 def fraction_json(value: Fraction) -> dict:
     """Render an exact rational as {numerator, denominator, decimal_30_digits}."""
+    import decimal  # only bounds renders a rational
     with decimal.localcontext() as ctx:
         ctx.prec = 30
         rendered = str(decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator))

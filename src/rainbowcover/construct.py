@@ -33,7 +33,7 @@ from .combinatorics import (
 from .coverage import Coloring
 from .errors import ParameterError, RoundsExhaustedError
 
-_BIT_GENERATORS = {"philox": np.random.Philox, "pcg64": np.random.PCG64}
+_BIT_GENERATORS = {"philox": "Philox", "pcg64": "PCG64"}  # in numpy.random, read at first use
 _LOG = {"e": math.log, "2": math.log2, "10": math.log10}
 
 
@@ -75,7 +75,7 @@ def make_rng(seed: int, rng_name: str = "philox") -> np.random.Generator:
     platform.
     """
     _check_rng(seed, rng_name)
-    return np.random.Generator(_BIT_GENERATORS[rng_name](seed))
+    return np.random.Generator(getattr(np.random, _BIT_GENERATORS[rng_name])(seed))
 
 
 def block_length(n: int, k: int) -> int:

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import sys
 import time
-import traceback
 from dataclasses import dataclass
 from math import comb
 from typing import Optional
@@ -108,7 +107,9 @@ def _check_depth(N: int) -> None:
     """Raise BudgetExceededError when a search of [N] started by the caller
     would recurse past the interpreter's limit: its rec adds N + 1 frames to
     the caller's stack, and its helpers 3 more."""
-    depth = N + 4 + sum(1 for _ in traceback.walk_stack(sys._getframe(1)))
+    depth, frame = N + 4, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
     if depth > sys.getrecursionlimit():
         raise BudgetExceededError(f"interval length {N} needs a search {depth} frames deep, "
                                   f"over the recursion limit {sys.getrecursionlimit()}")
@@ -369,9 +370,10 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
         colors[i] = 0
         return None
 
-    if n * idle[0] > N:  # the colour cut at the root, where every slack is C(n-1, k-1)
-        return None, 0
-    found = rec(0, 0, 0)
+    try:  # the colour cut at the root, where every slack is C(n-1, k-1), then the search
+        found = None if n * idle[0] > N else rec(0, 0, 0)
+    finally:
+        del rec  # it closes over itself: without this, the tables outlive the call
     return found, nodes
 
 

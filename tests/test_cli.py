@@ -298,6 +298,12 @@ class TestConstruct:
         assert "generated seed" in err
         assert isinstance(record["params"]["seed"], int)
 
+    def test_generated_seed_takes_62_bits_of_os_entropy(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.os, "urandom", lambda size: b"\xff" * size)
+        code, record, err = run_json(capsys, "construct", "--n", "3", "--k", "3")
+        assert code == 0 and record["params"]["seed"] == 2**62 - 1
+        assert f"generated seed: {2**62 - 1}" in err
+
     def test_rounds_exhausted_exit_three(self, capsys):
         code, out, err = run_cli(capsys, "construct", "--n", "8", "--k", "3",
                                  "--seed", "1", "--samples", "1", "--max-rounds", "1")
@@ -873,3 +879,35 @@ def test_argv_under_a_memory_cap(argv):
                       stdout=subprocess.DEVNULL)
     assert proc.returncode in range(4)
     assert "Traceback" not in proc.stderr and "MemoryError" not in proc.stderr
+
+
+# what a run loads on first use, never at import; numpy.random also loads secrets
+DEFERRED = ("numpy.random", "fractions", "decimal", "traceback", "secrets")
+
+
+def run_python(code):
+    """The stdout of `python -c code` in cli_env()."""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("module", ["rainbowcover", "rainbowcover.cli"])
+def test_import_defers_what_a_run_may_not_use(module):
+    # only what the import adds to numpy's: numpy 1.x loads numpy.random itself
+    loaded = run_python(f"import sys, numpy\nbefore = set(sys.modules)\nimport {module}\n"
+                        "print(*sorted(set(sys.modules) - before))").split()
+    assert {"rainbowcover.construct", "rainbowcover.exact", module} <= set(loaded)
+    assert [name for name in loaded if name.startswith(DEFERRED)] == []
+
+
+def test_unknown_rng_refused_before_numpy_random_loads():
+    out = run_python("import sys, numpy\n"
+                     "print('numpy.random' in sys.modules)\n"
+                     "from rainbowcover import ParameterError, make_rng\n"
+                     "try:\n    make_rng(0, 'mt19937')\nexcept ParameterError:\n"
+                     "    print('numpy.random' in sys.modules)\n"
+                     "make_rng(0)\nprint('numpy.random' in sys.modules)")
+    preloaded, refused, drawn = out.split()
+    assert refused == preloaded and drawn == "True"

@@ -1,3 +1,8 @@
+import gc
+import sys
+import traceback
+import tracemalloc
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -273,6 +278,42 @@ COVER_7_4 = (6, 5, 6, 3, 2, 2, 4, 1, 5, 7, 3, 6, 1, 4, 6, 2, 7, 3, 5, 5)
 def test_cover_7_4_of_length_20():
     assert verify_cover(Coloring(COVER_7_4, 7), 7, 4).complete
     assert len(oracles.covered_sets(COVER_7_4, 4)) == 35  # C(7, 4)
+
+
+# ac(8,3) = 20: N = 19 is refuted in 99,822,199 nodes (no test runs it), and
+# this colouring, found by simulated annealing, covers [20]
+COVER_8_3 = (4, 3, 7, 2, 4, 5, 3, 8, 6, 6, 1, 1, 2, 7, 4, 5, 8, 3, 7, 5)
+
+
+def test_cover_8_3_of_length_20():
+    assert verify_cover(Coloring(COVER_8_3, 8), 8, 3).complete
+    assert len(oracles.covered_sets(COVER_8_3, 3)) == 56  # C(8, 3)
+
+
+def test_depth_check_counts_the_callers_frames():
+    # as many frames as traceback.walk_stack finds from the caller
+    frames = sum(1 for _ in traceback.walk_stack(sys._getframe()))
+    N = sys.getrecursionlimit() - 4 - frames
+    exact._check_depth(N)  # exactly at the limit
+    with pytest.raises(BudgetExceededError, match=f"a search {N + 5 + frames} frames deep"):
+        exact._check_depth(N + 1)
+
+
+def test_search_frees_its_tables_without_the_collector():
+    # rec closes over itself, and the search breaks that cycle as it returns
+    # or raises, so its tables go with the call even with the collector off
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for N in (200, 400):  # each held 1.6 and then 8.7 MB before the cycle was broken
+            with pytest.raises(BudgetExceededError):
+                _search(40, 3, N, 100)
+            assert tracemalloc.get_traced_memory()[0] < 256 * 1024, N
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.slow
