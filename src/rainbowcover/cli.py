@@ -6,11 +6,11 @@ embeds the full parameter set, defaults included, so the run can be replayed
 exactly. Randomized subcommands either take --seed or generate one and report
 it; silent nondeterminism is never an option.
 
-Each cmd_* returns (exit code, JSON record, text lines), and main prints the
+Each cmd_* returns (exit code, JSON record, text lines), and main writes the
 record or the lines, so there is one output path. This module renders every
 record: the library computes, and only the colouring file format lives there.
-A record may hold lazy lists of uncovered subsets, which main encodes as it
-writes them, so neither format holds them all.
+A member with many rows, a ColorSetView or a WitnessView, stays a view until
+one row renderer writes it a chunk at a time, in either format.
 """
 
 from __future__ import annotations
@@ -20,15 +20,17 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from itertools import chain, combinations, islice
-from typing import TYPE_CHECKING, Iterable, Optional
+from itertools import chain, combinations
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+
+import numpy as np
 
 from .bounds import (
     compute_bounds_report,
     count_intersecting_pairs,
     estimate_cover_probability,
 )
-from .combinatorics import ColorSetView, colex_table, colex_unrank, count_progressions
+from .combinatorics import BLOCK_ROWS, ColorSetView, colex_table, colex_unrank, count_progressions
 from .construct import (
     ConstructParams,
     block_length,
@@ -38,6 +40,7 @@ from .construct import (
 from .coverage import (
     Coloring,
     VerifyResult,
+    WitnessView,
     format_coloring,
     parse_coloring_text,
     verify_cover,
@@ -99,17 +102,44 @@ def _json_lines(records: Iterable[dict]) -> str:
     return "".join(json.dumps(rec) + "\n" for rec in records)
 
 
-class _ColorLists(list):
-    """A JSON array of a ColorSetView's colour lists, unranked as it is encoded."""
+def _rows(value: ColorSetView | WitnessView, row: str, sep: str) -> Iterator[str]:
+    """A ColorSetView's colours, or a WitnessView's colours, start and diff, as
+    one string per chunk of BLOCK_ROWS rows: the chunk is unranked at once and
+    rendered by one % over the template `row` repeated per row, joined by sep."""
+    if isinstance(value, ColorSetView):
+        chunks = value.color_chunks()
+    else:
+        table, step = colex_table(value.n, value.k), BLOCK_ROWS
+        chunks = (np.column_stack((colex_unrank(value.ranks[lo:lo + step], table),
+                                   value.starts[lo:lo + step], value.diffs[lo:lo + step]))
+                  for lo in range(0, len(value), step))
+    for chunk in filter(len, chunks):  # an empty chunk would add a bare separator
+        yield sep.join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
 
-    def __init__(self, view: ColorSetView):
-        self._view = view
 
-    def __iter__(self):
-        return self._view.iter_colors()
-
-    def __len__(self) -> int:
-        return len(self._view)
+def _json_chunks(record: dict) -> Iterator[str]:
+    """json.dumps(record, indent=2) + "\n" in chunks, for a non-empty record with
+    str keys, where a ColorSetView is an array of colour lists and a WitnessView
+    an object from "c1,...,ck" to {start, diff, length}, written through _rows."""
+    sep = "{\n  "
+    for key, value in record.items():
+        yield sep + json.dumps(key) + ": "
+        sep = ",\n  "
+        if not isinstance(value, (ColorSetView, WitnessView)):
+            # JSON strings hold no raw newline, so every line break is indentation
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+            continue
+        if isinstance(value, ColorSetView):
+            brackets, row = "[]", "    [\n" + ",\n".join(["      %d"] * value.k) + "\n    ]"
+        else:
+            brackets, row = "{}", (f'    "{",".join(["%d"] * value.k)}": {{\n      "start": %d,'
+                                   f'\n      "diff": %d,\n      "length": {value.k}\n    }}')
+        start = brackets[0] + "\n"
+        for text in _rows(value, row, ",\n"):
+            yield start + text
+            start = ",\n"
+        yield brackets if start != ",\n" else "\n  " + brackets[1]
+    yield "\n}\n"
 
 
 def fraction_json(value: Fraction) -> dict:
@@ -136,15 +166,10 @@ def coverage_report_dict(coloring: Coloring, result: VerifyResult) -> dict:
         "complete": result.complete,
         "covered_count": report.covered_count,
         "total": report.total,
-        "uncovered": _ColorLists(result.uncovered),
+        "uncovered": result.uncovered,
     }
-    witnesses = report.witnesses
-    if witnesses is not None:
-        keys = colex_unrank(witnesses.ranks, colex_table(report.n, report.k)).tolist()
-        out["witnesses"] = {
-            ",".join(map(str, colors)): {"start": start, "diff": diff, "length": report.k}
-            for colors, start, diff in zip(keys, witnesses.starts.tolist(),
-                                           witnesses.diffs.tolist())}
+    if report.witnesses is not None:
+        out["witnesses"] = report.witnesses
     return out
 
 
@@ -163,8 +188,8 @@ def cmd_verify(args) -> Outcome:
         f"covered {result.report.covered_count}/{result.report.total} subsets",
         "complete" if result.complete else "INCOMPLETE",
     ]
-    # lazy, like the record's list: a format unranks only what it prints
-    lines = chain(head, map("  uncovered: {}".format, result.uncovered.iter_colors()))
+    row = "  uncovered: [" + ", ".join(["%d"] * args.k) + "]"
+    lines = chain(head, _rows(result.uncovered, row, "\n"))
     return EXIT_OK if result.complete else EXIT_INCOMPLETE, record, lines
 
 
@@ -186,7 +211,7 @@ def cmd_construct(args) -> Outcome:
     except RoundsExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         record["error"] = "rounds-exhausted"
-        record["residual"] = _ColorLists(exc.residual)
+        record["residual"] = exc.residual
         record["rounds_used"] = exc.trace.rounds_used
         return EXIT_BUDGET, record, []
 
@@ -371,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
             palette, size)
     p.add_argument("--input", required=True, help="colouring text file")
     p.add_argument("--witnesses", action="store_true",
-                   help="record one witness progression per covered subset")
+                   help="record one witness per covered subset; applies to JSON output only")
 
     p = add("construct", cmd_construct, "build a certified covering colouring",
             palette, size, scaling, seeded)
@@ -419,15 +444,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     try:
-        if args.format == "json":
-            # the encoder json.dumps(indent=2) runs, read in batches of chunks
-            chunks = json.JSONEncoder(indent=2).iterencode(record)
-            while batch := "".join(islice(chunks, 1 << 16)):
-                sys.stdout.write(batch)
-            sys.stdout.write("\n")
-        else:
-            for line in lines:
-                print(line)
+        sys.stdout.writelines(_json_chunks(record) if args.format == "json"
+                              else (line + "\n" for line in lines))
         sys.stdout.flush()
     except BrokenPipeError:
         # keep the interpreter's flush at exit from failing on the closed pipe

@@ -325,9 +325,9 @@ class ColorSetView:
     in a bool family over all C(n,k) colex ranks, read as ColorSet in colex order.
 
     The view shares the family, one byte per subset, with no copy; `covered`
-    counts its True entries. Iteration reads the family BLOCK_ROWS entries at a
-    time and unranks each chunk at once. There is no indexing or equality:
-    read `ranks`, or compare `list(view)`.
+    counts its True entries. Iteration and color_chunks() read the family
+    BLOCK_ROWS entries at a time, unranking each chunk at once. There is no
+    indexing or equality: read `ranks`, or compare `list(view)`.
     """
 
     def __init__(self, family: np.ndarray, n: int, k: int, covered: int):
@@ -356,8 +356,9 @@ class ColorSetView:
         for block in self._chunks():
             yield from _color_sets(block, self.n, self.k)
 
-    def iter_colors(self) -> Iterator[list[int]]:
-        """The ascending colours of each entry, unranked a chunk at a time."""
+    def color_chunks(self) -> Iterator[np.ndarray]:
+        """The (m, k) ascending colours of the entries, one array per chunk of
+        BLOCK_ROWS family entries; a chunk may hold no entry."""
         table = colex_table(self.n, self.k)
         for block in self._chunks():
-            yield from colex_unrank(block, table).tolist()
+            yield colex_unrank(block, table)

@@ -65,16 +65,17 @@ class WitnessView(Mapping):
     in enumeration order, whose colours are that subset.
 
     Held as three read-only int64 arrays sorted by rank: `ranks`, and the
-    `starts` and `diffs` of the progressions. Iteration yields the ranks in
+    `starts` and `diffs` of the progressions, with the palette size n and the
+    subset size k that the ranks unrank by. Iteration yields the ranks in
     ascending order; a Progression is built for an entry when it is read, and
     items() and values() build them in one pass over the arrays.
     """
 
-    def __init__(self, ranks: np.ndarray, starts: np.ndarray, diffs: np.ndarray, k: int):
+    def __init__(self, ranks: np.ndarray, starts: np.ndarray, diffs: np.ndarray, n: int, k: int):
         self.ranks, self.starts, self.diffs = (a.view() for a in (ranks, starts, diffs))
         for a in (self.ranks, self.starts, self.diffs):
             a.flags.writeable = False
-        self.k = k
+        self.n, self.k = n, k
 
     def __len__(self) -> int:
         return len(self.ranks)
@@ -191,7 +192,7 @@ def covered_family(coloring: Coloring, k: int,
     if record_witnesses:
         ranks, starts, diffs = map(np.concatenate, zip(*found))
         order = np.argsort(ranks)  # no rank is new in two blocks
-        witnesses = WitnessView(ranks[order], starts[order], diffs[order], k)
+        witnesses = WitnessView(ranks[order], starts[order], diffs[order], n, k)
     return CoverageReport(n, k, family, int(np.count_nonzero(family)), witnesses)
 
 

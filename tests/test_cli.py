@@ -208,6 +208,17 @@ class TestVerify:
                           stdout=subprocess.DEVNULL)
         assert (proc.returncode, proc.stderr) == (1, "")
 
+    def test_witnesses_under_a_memory_cap(self, tmp_path):
+        # 1,205,430 witnesses: the map is rendered from the witness arrays a
+        # chunk at a time, where a dict entry per covered subset needs over 512 MiB
+        path = tmp_path / "uniform.txt"
+        colors = np.random.default_rng(0).integers(1, 201, 4000).tolist()
+        path.write_text(" ".join(map(str, colors)) + "\n")
+        proc = run_capped(["-m", "rainbowcover.cli", "verify", "--input", str(path),
+                           "--n", "200", "--k", "3", "--witnesses", "--json"], 256 << 20,
+                          stdout=subprocess.DEVNULL)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
     def test_json_streams_uncovered_across_blocks(self, capsys, wide_file):
         # the uncovered subsets span four view chunks and several batches of
         # encoder chunks; the stream must equal json.dumps of plain lists
@@ -321,8 +332,8 @@ class TestConstruct:
 
     def test_rounds_exhausted_text_renders_no_residual(self, capsys, monkeypatch):
         calls = []
-        render = ColorSetView.iter_colors
-        monkeypatch.setattr(ColorSetView, "iter_colors",
+        render = ColorSetView.color_chunks
+        monkeypatch.setattr(ColorSetView, "color_chunks",
                             lambda view: calls.append(len(view)) or render(view))
         code, out, _ = run_cli(capsys, "construct", "--n", "200", "--k", "3", "--seed", "5",
                                "--samples", "1", "--max-rounds", "1", "--text")

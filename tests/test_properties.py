@@ -4,9 +4,11 @@ oracles."""
 
 import ast
 import hashlib
+import io
 import json
 import random
 import sys
+from contextlib import redirect_stdout
 from math import comb
 from pathlib import Path
 from unittest import mock
@@ -30,7 +32,7 @@ from rainbowcover import (
     make_rng,
     verify_cover,
 )
-from rainbowcover import bounds, combinatorics, coverage
+from rainbowcover import bounds, cli, combinatorics, coverage
 from rainbowcover.combinatorics import (
     BLOCK_ROWS,
     NETWORK_MAX_K,
@@ -465,6 +467,11 @@ def test_colex_unrank_matches_subset_unrank(case):
     assert [ColorSet.from_rank(r, n, k) for r in ranks] == expected
 
 
+def chunk_rows(view):
+    """The rows of every array that view.color_chunks() yields, as lists."""
+    return [row for chunk in view.color_chunks() for row in chunk.tolist()]
+
+
 def missing_view(ranks, n, k):
     """The view of a family over the C(n,k) colex ranks that is False at `ranks`."""
     family = np.ones(comb(n, k), dtype=bool)
@@ -485,12 +492,12 @@ def test_color_set_view_matches_from_rank(case):
     # crosses chunks whenever C(n,k) > 2
     with mock.patch.object(combinatorics, "BLOCK_ROWS", max(2, comb(n, k) // 4)):
         assert list(view) == expected
-        assert list(view.iter_colors()) == [list(cs.colors) for cs in expected]
+        assert chunk_rows(view) == [list(cs.colors) for cs in expected]
     assert view.ranks.tolist() == ranks
     with pytest.raises(ValueError):
         view.ranks[0] = 1
     empty = missing_view([], n, k)
-    assert not empty and list(empty) == [] and list(empty.iter_colors()) == []
+    assert not empty and list(empty) == [] and chunk_rows(empty) == []
     assert empty.ranks.tolist() == []
 
 
@@ -520,10 +527,74 @@ def test_family_view_matches_oracle(case, chunk):
         view = ColorSetView(family, n, k, int(np.count_nonzero(family)))
         assert len(view) == len(entries) and bool(view) == bool(entries)
         assert list(view) == entries
-        assert list(view.iter_colors()) == [list(cs.colors) for cs in entries]
+        assert chunk_rows(view) == [list(cs.colors) for cs in entries]
     assert view.ranks.tolist() == ranks
     with pytest.raises(ValueError):
         view.ranks[:1] = 0
+
+
+# JSON text with what an encoder must escape: quotes, backslashes, control
+# characters, and non-ASCII text outside and inside the basic plane
+JSON_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aé€\u2028\U0001f600')
+                    | st.characters())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**100, 2**100) | st.floats() | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def row_members(draw):
+    """(view, plain): a ColorSetView or WitnessView over the k-subsets of [n],
+    and the list or dict that json.dumps must render as the writer renders it."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(k, 8))
+    ranks = draw(st.lists(st.integers(0, comb(n, k) - 1), unique=True, max_size=12)
+                 .map(sorted))
+    keys = [list(oracles.subset_unrank(r, k)) for r in ranks]
+    if draw(st.booleans()):
+        return missing_view(ranks, n, k), keys
+    starts, diffs = (draw(st.lists(st.integers(1, 2**40), min_size=len(ranks),
+                                   max_size=len(ranks))) for _ in range(2))
+    view = coverage.WitnessView(*map(np.array, (ranks, starts, diffs)), n, k)
+    return view, {",".join(map(str, c)): {"start": s, "diff": d, "length": k}
+                  for c, s, d in zip(keys, starts, diffs)}
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(JSON_TEXT, JSON_VALUES), min_size=1, max_size=5),
+       st.lists(st.tuples(st.integers(0, 5), JSON_TEXT, row_members()), max_size=2),
+       st.sampled_from([1, 2, 3]))
+@example([("command", "verify")], [(1, "uncovered", (missing_view([], 5, 3), []))], 1)
+def test_json_writer_matches_json_dumps(members, rows, chunk):
+    # the writer renders a view member a chunk at a time and every other member
+    # through json.dumps; the whole must be the bytes of json.dumps(indent=2)
+    record, plain = list(members), list(members)
+    for at, key, (view, value) in rows:
+        record.insert(at, (key, view))
+        plain.insert(at, (key, value))
+    with mock.patch.object(combinatorics, "BLOCK_ROWS", chunk), \
+            mock.patch.object(cli, "BLOCK_ROWS", chunk):
+        text = "".join(cli._json_chunks(dict(record)))
+    assert text == json.dumps(dict(plain), indent=2) + "\n"
+
+
+@settings(deadline=None, max_examples=100)
+@given(colourings(), st.sampled_from([1, 2, 3, BLOCK_ROWS]))
+def test_text_rows_match_format(tmp_path_factory, case, chunk):
+    # verify --text prints each uncovered subset as "  uncovered: [c1, ..., ck]"
+    n, k, colors = case
+    path = tmp_path_factory.getbasetemp() / "text_rows.txt"
+    path.write_text(" ".join(map(str, colors)) + "\n")
+    out = io.StringIO()
+    with mock.patch.object(combinatorics, "BLOCK_ROWS", chunk), redirect_stdout(out):
+        code = cli.main(["verify", "--input", str(path), "--n", str(n), "--k", str(k),
+                         "--text"])
+    covered = {oracles.subset_rank(s) for s in oracles.covered_sets(colors, k)}
+    rows = ["  uncovered: {}".format(list(oracles.subset_unrank(r, k)))
+            for r in range(comb(n, k)) if r not in covered]
+    assert code == (1 if rows else 0)
+    assert out.getvalue().splitlines()[3:] == rows
 
 
 def test_uncovered_list_across_blocks():
@@ -535,7 +606,7 @@ def test_uncovered_list_across_blocks():
     assert list(result.uncovered) == [oracle_color_set(r, 3) for r in ranks]
     assert len(result.report.witnesses) == 279
     # digest of the report computed before the uncovered list was batch-unranked
-    text = json.dumps(coverage_report_dict(coloring, result), sort_keys=True,
-                      separators=(",", ":"))
+    record = json.loads("".join(cli._json_chunks(coverage_report_dict(coloring, result))))
+    text = json.dumps(record, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "54ef7ad1647e30dbe222d1b2cd74e1bfea6720c843b6902997d53ec7f1f4d652")
