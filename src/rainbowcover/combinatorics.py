@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 from operator import index
 from typing import Iterable, Iterator, NamedTuple
@@ -306,6 +306,35 @@ def colex_unrank(ranks: np.ndarray, comb_table: np.ndarray) -> np.ndarray:
         out[:, j - 1] = off + j
         rest -= comb_table[j - 1, off]
     return out
+
+
+def tuple_table(n: int, k: int) -> np.ndarray:
+    """The lookup of tuple_ranks: a C-ordered int64 array of shape (n,) * k
+    whose entry [c_0 - 1, ..., c_(k-1) - 1], flat entry sum_j (c_j - 1) n^(k-1-j),
+    holds the colex rank of {c_0, ..., c_(k-1)}, and -1 where a colour repeats.
+    Each rank is written at the k! digit orders of its colex_unrank row,
+    n!/(n-k)! entries in all. Not cached: it holds n^k entries, and a caller
+    builds it once per run."""
+    ranks = np.arange(comb(n, k))
+    digits = colex_unrank(ranks, colex_table(n, k)).T - 1
+    table = np.full((n,) * k, -1, dtype=np.int64)
+    for order in permutations(digits):
+        table[order] = ranks
+    return table
+
+
+def tuple_ranks(colors: np.ndarray, positions: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """rainbow_ranks through table = tuple_table(n, k), with no sort and no
+    repeat mask: term j's colours, made 0-based and scaled by n^(k-1-j) once,
+    are gathered by row j of the contiguous positions.T and summed into each
+    progression's flat table entry, which one more gather reads."""
+    n, k = len(table), positions.shape[1]
+    zero = np.subtract(colors, 1, dtype=np.int64)
+    cols = positions.T
+    keys = np.take(zero * n ** (k - 1), cols[0], axis=-1)
+    for j in range(1, k):
+        keys += np.take(zero * n ** (k - 1 - j), cols[j], axis=-1)
+    return table.reshape(-1).take(keys)
 
 
 def _color_sets(ranks: np.ndarray, n: int, k: int) -> Iterator[ColorSet]:

@@ -9,6 +9,13 @@ the concatenation of the chosen blocks; a run succeeds when every subset is
 covered, and the result is always re-checkable with verify_cover (the
 concatenation can only cover more than the blocks did in isolation, since
 progressions across block boundaries are ignored while scoring).
+
+Candidates are ranked through tuple_table(n, k), one lookup per progression
+keyed by its ordered colours, when its n^k entries are at most
+TUPLE_TABLE_LIMIT and no more than the rows the run expects to rank;
+otherwise through rainbow_ranks. Both give the same ranks, so the same
+colouring. A block whose progressions hold more than POSITION_ENTRY_LIMIT
+positions is refused with BudgetExceededError before any is built.
 """
 
 from __future__ import annotations
@@ -27,14 +34,25 @@ from .combinatorics import (
     _check_family_size,
     _check_nk,
     colex_table,
+    count_progressions,
     progression_blocks,
     rainbow_ranks,
+    tuple_ranks,
+    tuple_table,
 )
 from .coverage import Coloring
-from .errors import ParameterError, RoundsExhaustedError
+from .errors import BudgetExceededError, ParameterError, RoundsExhaustedError
 
 _BIT_GENERATORS = {"philox": "Philox", "pcg64": "PCG64"}  # in numpy.random, read at first use
 _LOG = {"e": math.log, "2": math.log2, "10": math.log10}
+
+# Cap on the h*k int64 entries of a block's progression positions: 2^26 is
+# 512 MiB, and admits n = 400, k = 3 (32.0M entries).
+POSITION_ENTRY_LIMIT = 1 << 26
+
+# Largest tuple_table construct builds, 8 MiB of int64; it is built only when
+# it is also no larger than the rows the run expects to rank.
+TUPLE_TABLE_LIMIT = 1 << 20
 
 
 def min_alpha(log_base: str = "e") -> float:
@@ -171,14 +189,26 @@ def construct_cover(n: int, k: int, params: ConstructParams) -> ConstructResult:
     best scorer among params.samples_per_round uniform candidates. Scoring
     treats the block in isolation; progressions spanning block boundaries are
     a bonus that only the final verification sees. Raises RoundsExhaustedError
-    (carrying the residual family) if the family is nonempty after max_rounds.
+    (carrying the residual family) if the family is nonempty after max_rounds,
+    and BudgetExceededError up front if the block's h*k progression positions
+    exceed POSITION_ENTRY_LIMIT.
     """
     total = _check_family_size(n, k)
     length = block_length(n, k)
     target_rounds = rounds(n, k, params.alpha, params.log_base, force=params.force_alpha)
     max_rounds = params.max_rounds if params.max_rounds is not None else 4 * target_rounds
+    h = count_progressions(length, k)
+    if h * k > POSITION_ENTRY_LIMIT:
+        raise BudgetExceededError(
+            f"a block of length {length} holds h = {h} progressions, whose "
+            f"{h * k} positions are over the limit {POSITION_ENTRY_LIMIT}")
     rng = make_rng(params.seed, params.rng_name)
-    table = colex_table(n, k)
+    # the tuple table pays for its n^k entries only when the run ranks as many rows
+    ranked = min(max_rounds, target_rounds) * params.samples_per_round * h
+    if n**k <= min(TUPLE_TABLE_LIMIT, ranked):
+        rank, table = tuple_ranks, tuple_table(n, k)
+    else:
+        rank, table = rainbow_ranks, colex_table(n, k)
     positions = np.concatenate([p for _, _, p in progression_blocks(length, k)])
     trace = ConstructTrace(n=n, k=k, params=params, block_length=length)
 
@@ -195,7 +225,7 @@ def construct_cover(n: int, k: int, params: ConstructParams) -> ConstructResult:
         best = after = None
         for _ in range(params.samples_per_round):
             colors = rng.integers(1, n + 1, size=length)
-            ranks = rainbow_ranks(colors, positions, table)
+            ranks = rank(colors, positions, table)
             np.copyto(scratch, covered)
             scratch[ranks] = True
             left = total + 1 - int(np.count_nonzero(scratch))

@@ -339,6 +339,12 @@ class TestConstruct:
                                "--samples", "1", "--max-rounds", "1", "--text")
         assert code == 3 and out == "" and calls == []
 
+    def test_oversize_block_exit_three(self, capsys):
+        # 6,139,008 progressions of 17 terms: refused before any is built
+        code, out, err = run_cli(capsys, "construct", "--n", "18", "--k", "17", "--seed", "0")
+        assert (code, out) == (3, "")
+        assert "h = 6139008" in err and "67108864" in err
+
     def test_residual_under_a_memory_cap(self):
         # 539,620 residual subsets: the JSON array is unranked as it is written
         proc = run_capped(["-m", "rainbowcover.cli", "construct", "--n", "200", "--k", "3",
@@ -868,8 +874,7 @@ def test_fuzzed_argv_exit_codes(tmp_path_factory, case):
         validate(json.loads(out.getvalue()), argv[0])
 
 
-# argvs at the edges of each subcommand; each ran in under a second at 512 MiB,
-# the marked one ends in a MemoryError traceback
+# argvs at the edges of each subcommand; each ran in under a second at 512 MiB
 CAPPED_ARGVS = [
     "estimate --n 32767 --k 2 --N 100 --trials 10000 --seed 1",
     "estimate --n 200 --k 100 --N 300 --trials 4096 --seed 1",
@@ -878,8 +883,7 @@ CAPPED_ARGVS = [
     "count --N 1000000 --k 3 --pairs",
     "count --N 5790 --k 2 --pairs",
     "construct --n 60 --k 3 --seed 0",
-    pytest.param("construct --n 18 --k 17 --seed 0", marks=pytest.mark.xfail(
-        strict=True, reason="construct holds the (h, k) int64 positions of its block")),
+    "construct --n 18 --k 17 --seed 0",
 ]
 
 

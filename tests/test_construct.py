@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from rainbowcover import (
+    BudgetExceededError,
     ColorSet,
     ConstructParams,
     ParameterError,
@@ -21,6 +22,8 @@ from rainbowcover import (
     rounds,
     verify_cover,
 )
+from rainbowcover import construct as construct_module
+from rainbowcover.combinatorics import count_progressions
 
 
 class TestBlockLength:
@@ -242,6 +245,23 @@ class TestConstructCover:
         with pytest.raises(ParameterError):
             construct_cover(3, 4, ConstructParams(seed=0))
 
+    def test_position_limit_boundary(self, monkeypatch):
+        # (7, 3) has blocks of 16 positions holding 56 progressions: 168 entries
+        assert (block_length(7, 3), count_progressions(16, 3)) == (16, 56)
+        monkeypatch.setattr(construct_module, "POSITION_ENTRY_LIMIT", 168)
+        assert verify_cover(construct_cover(7, 3, ConstructParams(seed=0)).coloring, 7, 3).complete
+        monkeypatch.setattr(construct_module, "POSITION_ENTRY_LIMIT", 167)
+        with pytest.raises(BudgetExceededError, match="h = 56 .* limit 167"):
+            construct_cover(7, 3, ConstructParams(seed=0))
+
+    def test_oversize_block_refused_up_front(self):
+        # (18, 17): 6,139,008 progressions of 17 terms, 104,363,136 entries over 2^26;
+        # (400, 3), at 31,990,470 entries, stays under it
+        assert count_progressions(block_length(18, 17), 17) * 17 == 104_363_136
+        assert count_progressions(block_length(400, 3), 3) * 3 == 31_990_470
+        with pytest.raises(BudgetExceededError, match="h = 6139008 .* limit 67108864"):
+            construct_cover(18, 17, ConstructParams(seed=0))
+
     def test_first_round_coverage_median(self):
         # desk-scale analogue of per-round halving: the best of 16 candidate
         # blocks should wipe out roughly half the family in round one. This is
@@ -288,3 +308,42 @@ def test_construct_matches_oracle(case):
         assert list(result.coloring.colors) == colors and not residual
         trace = result.trace
     assert [asdict(rec) for rec in trace.rounds] == records
+
+
+def count_tuple_tables(monkeypatch):
+    """A list that grows by one entry per tuple_table construct builds."""
+    built, build = [], construct_module.tuple_table
+    monkeypatch.setattr(construct_module, "tuple_table",
+                        lambda n, k: built.append((n, k)) or build(n, k))
+    return built
+
+
+def construct_outcome(n, k, params):
+    result = construct_cover(n, k, params)
+    return result.coloring.colors, [asdict(rec) for rec in result.trace.rounds]
+
+
+@pytest.mark.parametrize("rng_name", ["philox", "pcg64"])
+@pytest.mark.parametrize("n,k", [(40, 3), (20, 4), (8, 4), (7, 3)])
+def test_construct_paths_agree(n, k, rng_name, monkeypatch):
+    # each case ranks through the tuple table by default; a zero table limit
+    # sends it through rainbow_ranks, with the same draws and tie-breaks
+    params = ConstructParams(seed=3, rng_name=rng_name)
+    built = count_tuple_tables(monkeypatch)
+    table_path = construct_outcome(n, k, params)
+    assert built == [(n, k)]
+    monkeypatch.setattr(construct_module, "TUPLE_TABLE_LIMIT", 0)
+    assert construct_outcome(n, k, params) == table_path
+    assert built == [(n, k)]
+
+
+def test_tuple_table_selection(monkeypatch):
+    # (7, 7) and (10, 6) rank fewer rows than their 7^7 and 10^6 table entries;
+    # (40, 3) builds its table afresh on every call
+    built = count_tuple_tables(monkeypatch)
+    for n, k in [(7, 7), (10, 6)]:
+        construct_cover(n, k, ConstructParams(seed=0))
+    assert built == []
+    for seed in (0, 1):
+        construct_cover(40, 3, ConstructParams(seed=seed))
+    assert built == [(40, 3), (40, 3)]

@@ -41,6 +41,8 @@ from rainbowcover.combinatorics import (
     colex_unrank,
     progression_blocks,
     rainbow_ranks,
+    tuple_ranks,
+    tuple_table,
 )
 from rainbowcover.cli import coverage_report_dict
 from rainbowcover.errors import ColoringFormatError
@@ -175,6 +177,36 @@ def test_rainbow_ranks_network_and_sort_match_oracle(case, dtype):
             assert rainbow_ranks(batch, positions, table).tolist() == expected
             assert rainbow_ranks(batch[0], positions, table).tolist() == expected[0]
     assert rainbow_ranks(batch, positions, table).tolist() == expected
+
+
+@st.composite
+def tuple_table_batches(draw):
+    """(n, k, rows): k = 2..6 with n^k <= 4096 (n = k = 6 alone is larger), and
+    one to three colourings of one interval whose colours repeat at will."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(k, max(k, int(4096 ** (1 / k) + 1e-9))))
+    N = draw(st.integers(1, 30))
+    row = st.lists(st.integers(1, n), min_size=N, max_size=N)
+    return n, k, draw(st.lists(row, min_size=1, max_size=3))
+
+
+@settings(deadline=None)
+@given(tuple_table_batches(), st.sampled_from([np.int16, np.int64]))
+@example((64, 2, [[64, 1, 64, 2]]), np.int16)
+@example((6, 6, [[6, 5, 4, 3, 2, 1, 1], [1, 2, 3, 4, 5, 6, 6]]), np.int64)
+def test_tuple_ranks_match_rainbow_ranks_and_oracle(case, dtype):
+    n, k, rows = case
+    batch = np.array(rows, dtype=dtype)
+    positions, table = oracle_positions(batch.shape[1], k), tuple_table(n, k)
+    assert table.shape == (n,) * k and table.dtype == np.int64
+    expected = [[oracles.subset_rank(row[p] for p in terms)
+                 if len({row[p] for p in terms}) == k else -1
+                 for terms in positions.tolist()] for row in rows]
+    ranks = tuple_ranks(batch, positions, table)
+    assert np.array_equal(ranks, rainbow_ranks(batch, positions, colex_table(n, k)))
+    assert ranks.tolist() == expected
+    for row, row_ranks in zip(batch, expected):
+        assert tuple_ranks(row, positions, table).tolist() == row_ranks
 
 
 @st.composite
