@@ -19,6 +19,7 @@ L is kept as an exact Fraction end to end; only the CLI's rendering is decimal.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import TYPE_CHECKING, Optional
@@ -152,22 +153,15 @@ def lower_bound_N(n: int, k: int) -> int:
     """Smallest N whose progression count reaches C(n,k).
 
     No shorter interval can cover all subsets, since each progression covers
-    at most one. Found by monotone binary search; also the natural starting
-    point for the exact solver.
+    at most one. Found by doubling, then bisecting the monotone count; also
+    the natural starting point for the exact solver.
     """
     _check_nk(n, k)
     target = comb(n, k)
     hi = k
     while count_progressions(hi, k) < target:
         hi *= 2
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if count_progressions(mid, k) >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return 1 + bisect_left(range(1, hi + 1), target, key=lambda N: count_progressions(N, k))
 
 
 def upper_bound_length(n: int, k: int, alpha: float, log_base: str = "e",

@@ -155,8 +155,8 @@ def progression_blocks(N: int, k: int) -> Iterator[tuple[np.ndarray, np.ndarray,
     BLOCK_ROWS rows (at least one difference), as (diffs, starts, positions):
     the common difference and 1-based start of each row, and the (m, k) array
     of its 0-based terms. positions is column-major, the transpose of a
-    C-ordered (k, m) array, so its .T is contiguous, and so is the .T of a
-    concatenation of blocks: rainbow_ranks gathers by it without a copy.
+    C-ordered (k, m) array, so its .T is contiguous: rainbow_ranks and
+    tuple_ranks gather by it without a copy.
     """
     _check_interval(N, k)
 

@@ -10,12 +10,13 @@ covered, and the result is always re-checkable with verify_cover (the
 concatenation can only cover more than the blocks did in isolation, since
 progressions across block boundaries are ignored while scoring).
 
-Candidates are ranked through tuple_table(n, k), one lookup per progression
-keyed by its ordered colours, when its n^k entries are at most
+The block's progressions are held once, as the chunks progression_blocks
+yields, and a candidate is ranked and scattered one chunk at a time, as
+covered_family scans. Ranks go through tuple_table(n, k), one lookup per
+progression keyed by its ordered colours, when its n^k entries are at most
 TUPLE_TABLE_LIMIT and no more than the rows the run expects to rank;
 otherwise through rainbow_ranks. Both give the same ranks, so the same
-colouring. A block whose progressions hold more than POSITION_ENTRY_LIMIT
-positions is refused with BudgetExceededError before any is built.
+colouring.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ _BIT_GENERATORS = {"philox": "Philox", "pcg64": "PCG64"}  # in numpy.random, rea
 _LOG = {"e": math.log, "2": math.log2, "10": math.log10}
 
 # Cap on the h*k int64 entries of a block's progression positions: 2^26 is
-# 512 MiB, and admits n = 400, k = 3 (32.0M entries).
+# 512 MiB, and admits n = 400, k = 3 (32.0M entries). They are held once, so
+# this is most of a run's peak memory.
 POSITION_ENTRY_LIMIT = 1 << 26
 
 # Largest tuple_table construct builds, 8 MiB of int64; it is built only when
@@ -209,7 +211,7 @@ def construct_cover(n: int, k: int, params: ConstructParams) -> ConstructResult:
         rank, table = tuple_ranks, tuple_table(n, k)
     else:
         rank, table = rainbow_ranks, colex_table(n, k)
-    positions = np.concatenate([p for _, _, p in progression_blocks(length, k)])
+    chunks = [p for _, _, p in progression_blocks(length, k)]  # (m, k) terms each
     trace = ConstructTrace(n=n, k=k, params=params, block_length=length)
 
     # family (True where covered), best copy so far, candidate's copy: swapped,
@@ -225,9 +227,9 @@ def construct_cover(n: int, k: int, params: ConstructParams) -> ConstructResult:
         best = after = None
         for _ in range(params.samples_per_round):
             colors = rng.integers(1, n + 1, size=length)
-            ranks = rank(colors, positions, table)
             np.copyto(scratch, covered)
-            scratch[ranks] = True
+            for positions in chunks:
+                scratch[rank(colors, positions, table)] = True
             left = total + 1 - int(np.count_nonzero(scratch))
             if best is None or left < after:
                 best, after, kept, scratch = colors, left, scratch, kept

@@ -13,6 +13,7 @@ from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 from itertools import repeat
 from math import comb
+from operator import index
 from typing import Optional
 
 import numpy as np
@@ -43,17 +44,19 @@ class Coloring:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.colors, tuple):
-            object.__setattr__(self, "colors", tuple(self.colors))
         if self.n < 1:
             raise ParameterError(f"number of colours must be >= 1, got {self.n}")
-        if len(self.colors) < 1:
+        given = tuple(self.colors)
+        try:
+            colors = tuple(map(index, given))  # numpy integers pass; 1.5 and "2" do not
+        except TypeError:
+            colors = ()
+        if not colors or min(colors) < 1 or max(colors) > self.n:
+            for i, c in enumerate(given):  # name the first bad position
+                if not (hasattr(c, "__index__") and 1 <= index(c) <= self.n):
+                    raise ParameterError(f"colour {c!r} at position {i + 1} outside 1..{self.n}")
             raise ParameterError("a colouring needs at least one position")
-        if min(self.colors) < 1 or max(self.colors) > self.n:
-            for i, c in enumerate(self.colors):  # name the first bad position
-                if not 1 <= c <= self.n:
-                    raise ParameterError(
-                        f"colour {c} at position {i + 1} outside 1..{self.n}")
+        object.__setattr__(self, "colors", colors)
 
     @property
     def N(self) -> int:

@@ -150,14 +150,12 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
     order = np.argsort(pos[:, -1], kind="stable")
     ending = _split(reads[order, -1].tolist(), pos[:, -1], N)
     # The colour cut's tables: drop[i] lists the earlier terms of the
-    # progressions ending at i, in the same order; ahead[i] counts those
-    # through i that go on past it; most[i] is the largest number of
-    # progressions through any of positions i.. (1 past the end and where
-    # there are none, which only weakens the cut); idle[i] is what an unused
-    # colour needs there, and no colour needs more.
+    # progressions ending at i, in the same order; most[i] is the largest
+    # number of progressions through any of positions i.. (1 past the end and
+    # where there are none, which only weakens the cut); idle[i] is what an
+    # unused colour needs there, and no colour needs more.
     drop = _split(pos[order, :-1].ravel().tolist(), np.repeat(pos[order, -1], k - 1), N)
     deg = np.bincount(pos.ravel(), minlength=N + 1)
-    ahead = (deg - np.bincount(pos[:, -1], minlength=N + 1)).tolist()
     most = np.maximum(np.maximum.accumulate(deg[::-1])[::-1], 1).tolist()
     per_colour = comb(n - 1, k - 1)
     idle = [-(-per_colour // m) for m in most]
@@ -274,7 +272,7 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
         # progressions ending here are finalized whatever the colour
         for p in drop[i]:
             slack[colors[p]] += 1
-        saved, fwd, j = bound, ahead[i], i + 1
+        saved, fwd, j = bound, s + len(through[i]), i + 1
         m, rest, room = most[j], idle[j], N - j
         tested = n * rest > room  # else no child can be cut
         for c in range(1, top + 1):
@@ -392,12 +390,14 @@ def exists_cover(n: int, k: int, N: int,
 
     None means the instance is refuted (exhaustively, within the node budget);
     running out of budget raises BudgetExceededError instead, so the two
-    outcomes are never conflated. A returned colouring is re-run through
-    verify_cover.
+    outcomes are never conflated, as does an N over config.max_N, before any
+    search. A returned colouring is re-run through verify_cover.
     """
     _check_family_size(n, k)
     _check_interval(N, k)
     config = config or SearchConfig()
+    if config.max_N is not None and N > config.max_N:
+        raise BudgetExceededError(f"N = {N} is over max_N = {config.max_N}", nodes_explored=0)
     found, _ = _search(n, k, N, config.node_budget)
     return _certified(found, n, k) if found is not None else None
 

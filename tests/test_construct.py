@@ -1,5 +1,6 @@
 import hashlib
 import statistics
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import asdict
@@ -261,6 +262,23 @@ class TestConstructCover:
         assert count_progressions(block_length(400, 3), 3) * 3 == 31_990_470
         with pytest.raises(BudgetExceededError, match="h = 6139008 .* limit 67108864"):
             construct_cover(18, 17, ConstructParams(seed=0))
+
+    def test_peak_memory_near_the_position_table(self):
+        # (200, 3): a block of 2310 positions holds h = 1,332,870 progressions
+        # in 86 blocks of progression_blocks. Kept as yielded and ranked one at
+        # a time, they peak near their h*k*8 bytes; a concatenated copy of
+        # them peaked at 2.27 times that
+        h = count_progressions(block_length(200, 3), 3)
+        assert h == 1_332_870
+        params = ConstructParams(seed=0, samples_per_round=1, max_rounds=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RoundsExhaustedError):
+                construct_cover(200, 3, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * h * 3 * 8
 
     def test_first_round_coverage_median(self):
         # desk-scale analogue of per-round halving: the best of 16 candidate

@@ -63,6 +63,19 @@ class TestColoring:
     def test_list_coerced(self):
         assert Coloring([1, 2], 2).colors == (1, 2)
 
+    def test_non_integer_colour_rejected(self):
+        # 1.5 used to be read as colour 1, so this colouring verified as complete
+        with pytest.raises(ParameterError, match=r"^colour 1\.5 at position 1 outside 1\.\.3$"):
+            verify_cover(Coloring((1.5, 2, 3, 1, 2, 3), 3), 3, 3)
+        with pytest.raises(ParameterError, match=r"^colour '2' at position 3 outside 1\.\.3$"):
+            Coloring((1, 3, "2"), 3)
+        with pytest.raises(ParameterError, match=r"^colour 2\.0 at position 2 outside 1\.\.3$"):
+            Coloring((1, 2.0, 9), 3)
+
+    def test_numpy_integers_become_ints(self):
+        col = Coloring(np.array([3, 1, 2], dtype=np.int16), 3)
+        assert col.colors == (3, 1, 2) and all(type(c) is int for c in col.colors)
+
 
 class TestRainbowColors:
     def test_golden_rows(self):

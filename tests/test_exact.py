@@ -99,6 +99,13 @@ class TestExistsCover:
         assert info.value.nodes_explored is not None
         assert info.value.nodes_explored >= 50
 
+    def test_max_N_ceiling(self, monkeypatch):
+        assert exists_cover(4, 3, 6, SearchConfig(max_N=6)) is not None
+        monkeypatch.setattr(exact, "_search", None)  # refused before any search
+        with pytest.raises(BudgetExceededError, match=r"^N = 7 is over max_N = 6$") as info:
+            exists_cover(4, 3, 7, SearchConfig(max_N=6))
+        assert info.value.nodes_explored == 0
+
     def test_seven_three_fourteen_refuted(self):
         assert exists_cover(7, 3, 14) is None
 
