@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
 from operator import index
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -115,25 +115,29 @@ class PairIntersectionCounts:
     total: int
 
 
+def _check_integer(name: str, value: int, least: int, field: Optional[str] = None) -> int:
+    """index(value) if it is an integer, not a bool, of at least `least`; else ParameterError."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ParameterError(f"{name} must be an integer, got {value!r}", field=field)
+    if index(value) < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}", field=field)
+    return index(value)
+
+
 def _check_interval(N: int, k: int) -> None:
-    if k < 2:
-        raise ParameterError(f"progression length k must be >= 2, got {k}")
-    if N < 1:
-        raise ParameterError(f"interval length N must be >= 1, got {N}")
+    _check_integer("progression length k", k, 2)
+    _check_integer("interval length N", N, 1)
 
 
-def _check_count(name: str, value: int) -> None:
-    """Require a count argument to be >= 1; the error's field is its name."""
-    if value < 1:
-        raise ParameterError(f"{name} must be >= 1, got {value}", field=name)
+def _check_count(name: str, value: int) -> int:
+    """A count argument as an int, which must be >= 1; the error's field is its name."""
+    return _check_integer(name, value, 1, name)
 
 
 def _check_nk(n: int, k: int, least: int = 2) -> None:
     """Require least <= k <= n. Progressions need least = 2: k = 1 would make a
     singleton a progression only by convention. A ColorSet may hold one colour."""
-    if k < least:
-        raise ParameterError(f"subset size k must be >= {least}, got {k}")
-    if k > n:
+    if _check_integer("subset size k", k, least) > _check_integer("palette size n", n, 1):
         raise ParameterError(f"subset size k = {k} exceeds the palette size n = {n}")
 
 

@@ -33,6 +33,7 @@ from .combinatorics import (
     ColorSetView,
     _check_count,
     _check_family_size,
+    _check_integer,
     _check_nk,
     colex_table,
     count_progressions,
@@ -79,12 +80,11 @@ def _check_alpha(alpha: float, log_base: str, force: bool) -> Optional[str]:
     return message
 
 
-def _check_rng(seed: int, rng_name: str) -> None:
+def _check_rng(seed: int, rng_name: str) -> int:
     if rng_name not in _BIT_GENERATORS:
         raise ParameterError(
             f"unknown rng {rng_name!r}; choose from {sorted(_BIT_GENERATORS)}")
-    if not isinstance(seed, int) or seed < 0:
-        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
+    return _check_integer("seed", seed, 0)
 
 
 def make_rng(seed: int, rng_name: str = "philox") -> np.random.Generator:
@@ -148,10 +148,11 @@ class ConstructParams:
     force_alpha: bool = False
 
     def __post_init__(self):
-        _check_rng(self.seed, self.rng_name)
-        _check_count("samples_per_round", self.samples_per_round)
+        object.__setattr__(self, "seed", _check_rng(self.seed, self.rng_name))
+        object.__setattr__(self, "samples_per_round",
+                           _check_count("samples_per_round", self.samples_per_round))
         if self.max_rounds is not None:
-            _check_count("max_rounds", self.max_rounds)
+            object.__setattr__(self, "max_rounds", _check_count("max_rounds", self.max_rounds))
         _check_alpha(self.alpha, self.log_base, self.force_alpha)
 
 

@@ -22,6 +22,7 @@ from .combinatorics import (
     ColorSetView,
     Progression,
     _check_family_size,
+    _check_integer,
     colex_table,
     progression_blocks,
     rainbow_ranks,
@@ -44,8 +45,7 @@ class Coloring:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"number of colours must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _check_integer("number of colours", self.n, 1))
         given = tuple(self.colors)
         try:
             colors = tuple(map(index, given))  # numpy integers pass; 1.5 and "2" do not

@@ -31,22 +31,21 @@ incrementally and undone on the way back. Four accelerations:
   new k-sets they reach, B and the progressions not yet started bound what
   the child can reach. When that falls short of C(n, k), the child's own
   test would cut it, so the node skips its covers and the call. Each arrival
-  raises B by one at most, so the node first tests B after the leave plus
-  one per arriving progression, and makes the arrivals only if that passes. A cut node is still counted and charged to the budget: no node
-  count or witness changes, only the order in which classes get numbers.
+  raises B by one at most, so B after the leave plus one per arrival is
+  tested first. A cut node still counts and is charged to the budget: no
+  node count or witness changes, only the order in which classes get numbers.
 * colour-occurrence cut: each uncovered k-set containing colour c needs its
-  own unfinalized progression with a term of colour c. A_c such
-  progressions run through the positions already coloured c, counted once
-  per position, and at most M_i through any one of the positions i.. left,
-  so c needs ceil((U_c - A_c) / M_i) of those positions, where U_c counts
-  the uncovered k-sets containing c (C(n-1, k-1) for an unused colour); the
-  branch is cut when these needs add up to more than N - i. slack[c] =
-  U_c - A_c is kept like gap: the progressions ending at a position give
-  their earlier terms back once for all colours, the colour tried takes the
-  progressions through the position that go on past it, and a cover lowers
-  the slack of each of its colours. Like the cut before the covers, it is
-  tested before the child's arrivals, and a cut child is still a node. At
-  the root every slack is C(n-1, k-1), so an interval with
+  own live unfinalized progression with a term of colour c. A_c live ones
+  have one (a dead one covers nothing), and at most M_i progressions run
+  through any one of the positions i.. left, so c needs
+  ceil((U_c - A_c) / M_i) of those, where U_c counts the uncovered k-sets
+  containing c (C(n-1, k-1) for an unused colour); the branch is cut when
+  these needs add up to more than N - i. slack[c] = U_c - A_c is kept like
+  gap: a live progression gives its colours back when it is finalized or
+  killed, colour c takes the starts and the live moves, and a cover lowers
+  the slack of each of its colours. The cut is tested before the arrivals
+  as if c killed none, and again after them if it did; a cut child is still
+  a node. At the root every slack is C(n-1, k-1), so an interval with
   n * ceil(C(n-1, k-1) / max degree) > N is refuted in no nodes.
 * symmetry breaking: colour classes are interchangeable, so the first
   occurrence of colour c is forced before the first occurrence of colour c+1.
@@ -80,9 +79,9 @@ class SearchConfig:
     node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
-        _check_count("node_budget", self.node_budget)
+        object.__setattr__(self, "node_budget", _check_count("node_budget", self.node_budget))
         if self.max_N is not None:
-            _check_count("max_N", self.max_N)
+            object.__setattr__(self, "max_N", _check_count("max_N", self.max_N))
 
 
 @dataclass
@@ -149,12 +148,10 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
                               slots.ravel()[order].tolist())), mid, N)
     order = np.argsort(pos[:, -1], kind="stable")
     ending = _split(reads[order, -1].tolist(), pos[:, -1], N)
-    # The colour cut's tables: drop[i] lists the earlier terms of the
-    # progressions ending at i, in the same order; most[i] is the largest
-    # number of progressions through any of positions i.. (1 past the end and
-    # where there are none, which only weakens the cut); idle[i] is what an
-    # unused colour needs there, and no colour needs more.
-    drop = _split(pos[order, :-1].ravel().tolist(), np.repeat(pos[order, -1], k - 1), N)
+    # The colour cut's tables: most[i] is the largest number of progressions
+    # through any of positions i.. (1 past the end and where there are none,
+    # which only weakens the cut); idle[i] is what an unused colour needs
+    # there, and no colour needs more.
     deg = np.bincount(pos.ravel(), minlength=N + 1)
     most = np.maximum(np.maximum.accumulate(deg[::-1])[::-1], 1).tolist()
     per_colour = comb(n - 1, k - 1)
@@ -183,7 +180,7 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
     gap: list[int] = []
     child: list[Optional[list[Optional[int]]]] = []
     subsets: list[Optional[list[int]]] = []
-    members: list[Optional[list[int]]] = []  # the colours of each k-set class
+    members: list[list[int]] = []  # the colours of each class
     small: list[int] = []  # the nonempty classes with fewer than k colours
     covered: set[int] = set()  # classes of the covered k-sets
 
@@ -202,8 +199,7 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
         gap.append(-s)
         child.append([None] * (n + 1) if size < k else None)
         subsets.append(None)
-        members.append([c for c in range(1, n + 1) if mask >> (c - 1) & 1]
-                       if size == k else None)
+        members.append([c + 1 for c in range(mask.bit_length()) if mask >> c & 1])
         return P
 
     def subsets_of(R: int) -> list[int]:
@@ -228,7 +224,7 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
     empty = class_of(0)
     bound = 0  # sum over the nonempty classes P of min(cnt[P], sup[P])
     # slack[c] = U_c - A_c: the uncovered k-sets containing colour c, less the
-    # unfinalized progressions through each position of colour c
+    # live unfinalized progressions with a term of colour c
     slack = [per_colour] * (n + 1)
     colors = [0] * N
     nodes = 0
@@ -269,10 +265,9 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
                 gap[P] = g - 1
                 if g <= 0:
                     bound -= 1
-        # progressions ending here are finalized whatever the colour
-        for p in drop[i]:
-            slack[colors[p]] += 1
-        saved, fwd, j = bound, s + len(through[i]), i + 1
+                for b in members[P]:  # finalized whatever the colour
+                    slack[b] += 1
+        saved, fwd, j = bound, s + len(moves), i + 1
         m, rest, room = most[j], idle[j], N - j
         tested = n * rest > room  # else no child can be cut
         for c in range(1, top + 1):
@@ -292,11 +287,12 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
             reached = count + len(fresh)
             # the arrivals below raise bound by one each at most: when even
             # that falls short, the child is cut without making them
-            if reached + saved + s + len(moves) < need:
+            if reached + saved + fwd < need:
                 continue
-            # colour c takes the progressions through i that go on past it,
-            # and each cover lowers U of its colours; the colours above
-            # `used` are unused, each needing `rest` of the `room` positions
+            # c takes the starts and the live moves as if it killed none, and
+            # each cover lowers U of its colours; the colours above `used`
+            # are unused, each needing `rest` of the `room` positions
+            kept = slack[:]  # put back after the child
             slack[c] -= fwd
             for R in fresh:
                 for b in members[R]:
@@ -319,6 +315,7 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
                     gap[single] = g + s
                     if g < 0:
                         bound += min(s, -g)
+                killed = False
                 for P, b in moves:
                     Q = child[P][c]
                     if Q is None:
@@ -329,9 +326,19 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
                         gap[Q] = g + 1
                         if g < 0:
                             bound += 1
+                    else:  # dead: c does not take it, and its colours get it back
+                        killed = True
+                        slack[c] += 1
+                        for x in members[P]:
+                            slack[x] += 1
+                if killed and tested:  # the test again, with their colours back
+                    demand = (n - used) * rest
+                    for x in slack[1:used + 1]:
+                        if x > 0:
+                            demand += -(-x // m)
                 # covers only lower bound, so when this falls short the child
                 # would be cut at entry: skip its covers and the call
-                if reached + bound >= need:
+                if demand <= room and reached + bound >= need:
                     for R in fresh:
                         covered.add(R)
                         # each class inside R loses R from its uncovered supersets
@@ -354,16 +361,13 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
                 if s:
                     gap[single] -= s
                 bound = saved
-            slack[c] += fwd
-            for R in fresh:
-                for b in members[R]:
-                    slack[b] += 1
+            slack[:] = kept
         for P, _ in moves:
             gap[P] += 1
         for P in ends:
             gap[P] += 1
-        for p in drop[i]:
-            slack[colors[p]] -= 1
+            for b in members[P]:
+                slack[b] -= 1
         bound = entry
         colors[i] = 0
         return None

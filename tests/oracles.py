@@ -266,12 +266,12 @@ def prefix_bound_search(n: int, k: int, N: int, colour_test: bool = True):
     covered sets plus the sum over the classes P of min(#progressions,
     #uncovered k-sets containing P) fall short of C(n, k). The colour test
     (off when `colour_test` is false): each uncovered k-set containing colour
-    c needs its own progression with an uncoloured term and a term of colour
-    c. A_c such progressions run through the coloured positions of colour c,
-    counted once per position, and at most M through any one uncoloured
-    position, so c needs ceil((U_c - A_c) / M) of them, U_c being the
-    uncovered k-sets containing c; the branch is cut when these needs sum
-    past the positions left.
+    c needs its own live progression, one with an uncoloured term whose
+    coloured terms have distinct colours, with a term of colour c. A_c live
+    progressions have a coloured term of colour c, and at most M
+    progressions run through any one uncoloured position, so c needs
+    ceil((U_c - A_c) / M) of them, U_c being the uncovered k-sets containing
+    c; the branch is cut when these needs sum past the positions left.
     """
     needed = set(all_subsets(n, k))
     progs = [progression_terms(s, d, k) for s, d in progressions(N, k)]
@@ -281,12 +281,15 @@ def prefix_bound_search(n: int, k: int, N: int, colour_test: bool = True):
     def colours_short(i: int, uncovered) -> bool:
         through = [sum(p in terms for terms in progs) for p in range(i + 1, N + 1)]
         most = max(through, default=0)
-        unfinalized = [terms for terms in progs if terms[-1] > i]
+        live = []  # the coloured terms' colours of each live progression
+        for terms in progs:
+            values = [colors[p - 1] for p in terms if p <= i]
+            if terms[-1] > i and len(set(values)) == len(values):
+                live.append(values)
         need = 0
         for c in range(1, n + 1):
             U = sum(1 for s in uncovered if c in s)
-            A = sum(1 for p in range(1, i + 1) if colors[p - 1] == c
-                    for terms in unfinalized if p in terms)
+            A = sum(1 for values in live if c in values)
             if U > A:
                 if most == 0:
                     return True

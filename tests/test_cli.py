@@ -504,8 +504,8 @@ class TestExact:
         assert (code, out) == run_cli(capsys, *argv)[:2]
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert [(r["N"], r["outcome"], r["nodes"]) for r in lines] == [
-            (11, "refuted", 0), (12, "refuted", 294), (13, "refuted", 11334),
-            (14, "found", 6912)]
+            (11, "refuted", 0), (12, "refuted", 171), (13, "refuted", 6534),
+            (14, "found", 4378)]
         assert sum(r["nodes"] for r in lines) == json.loads(out)["nodes_explored"]
         assert all(r["seconds"] >= 0 for r in lines)
 

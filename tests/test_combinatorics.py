@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 from math import comb
 from unittest import mock
@@ -10,11 +11,17 @@ import oracles
 from rainbowcover import (
     BudgetExceededError,
     ColorSet,
+    Coloring,
+    ConstructParams,
     FamilySizeError,
     ParameterError,
     Progression,
+    SearchConfig,
+    ac_exact,
+    construct_cover,
     count_intersecting_pairs,
     count_progressions,
+    estimate_cover_probability,
     hi_upper_bounds,
 )
 from rainbowcover import combinatorics
@@ -313,3 +320,35 @@ class TestColorSet:
         assert list(view) == entries
         assert view != entries and entries != view
         assert view != tuple(entries) and tuple(entries) != view
+
+
+class TestIntegerArguments:
+    # every size, count and seed goes through operator.index: a float, a bool
+    # or a string is a ParameterError, where each was once accepted, returned
+    # a float or raised TypeError
+    @pytest.mark.parametrize("call, message", [
+        (lambda: count_progressions(12.0, 3), "interval length N must be an integer, got 12.0"),
+        (lambda: count_progressions(12, True), "progression length k must be an integer, got True"),
+        (lambda: Coloring((1, 2), 2.5), "number of colours must be an integer, got 2.5"),
+        (lambda: SearchConfig(node_budget=2.5), "node_budget must be an integer, got 2.5"),
+        (lambda: ac_exact(4.0, 3), "palette size n must be an integer, got 4.0"),
+        (lambda: construct_cover(5.0, 3, ConstructParams(seed=0)),
+         "palette size n must be an integer, got 5.0"),
+        (lambda: estimate_cover_probability(6, 3, 12, 100.0, 1),
+         "trials must be an integer, got 100.0"),
+        (lambda: ConstructParams(seed=True), "seed must be an integer, got True"),
+        (lambda: ColorSet.from_rank(0, "6", 3), "palette size n must be an integer, got '6'"),
+    ])
+    def test_non_integer_rejected(self, call, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_numpy_integers_pass_as_ints(self):
+        assert count_progressions(np.int64(12), np.int32(3)) == 30
+        assert ac_exact(np.int64(4), np.int8(3)).value == 6
+        config = SearchConfig(max_N=np.int16(9), node_budget=np.int64(10))
+        params = ConstructParams(seed=np.int64(5), samples_per_round=np.int32(2),
+                                 max_rounds=np.uint8(3))
+        stored = (Coloring((1, 2), np.int64(2)).n, config.max_N, config.node_budget,
+                  params.seed, params.samples_per_round, params.max_rounds)
+        assert stored == (2, 9, 10, 5, 2, 3) and all(type(v) is int for v in stored)

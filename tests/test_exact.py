@@ -40,10 +40,10 @@ KNOWN_VALUES = {
 # to the DFS bookkeeping cannot silently change the order of the search
 KNOWN_SEARCHES = {
     (4, 3): (15, (1, 1, 2, 3, 4, 1)),
-    (5, 3): (155, (1, 1, 2, 3, 4, 1, 5, 2, 3)),
+    (5, 3): (150, (1, 1, 2, 3, 4, 1, 5, 2, 3)),
     (4, 4): (10, (1, 2, 3, 4)),
-    (6, 3): (4872, (1, 2, 3, 4, 5, 1, 6, 3, 2, 5, 4, 1)),
-    (6, 4): (18540, (1, 1, 2, 1, 3, 4, 5, 6, 4, 2, 1, 3, 6, 5)),
+    (6, 3): (4134, (1, 2, 3, 4, 5, 1, 6, 3, 2, 5, 4, 1)),
+    (6, 4): (11083, (1, 1, 2, 1, 3, 4, 5, 6, 4, 2, 1, 3, 6, 5)),
 }
 
 
@@ -215,11 +215,13 @@ def small_instances(draw):
 @example((6, 5, 11))
 @example((7, 5, 15))
 # past small_instances: the colour test refutes (6,3,10) at the root, and
-# cuts most of the other three
+# cuts most of the other five
 @example((6, 3, 10))
 @example((6, 3, 12))
 @example((7, 3, 14))
 @example((6, 4, 13))
+@example((6, 4, 14))
+@example((7, 4, 17))
 def test_search_matches_prefix_bound_oracle(case):
     n, k, N = case
     assert _search(n, k, N, 10**6) == oracles.prefix_bound_search(n, k, N)
@@ -233,6 +235,8 @@ def test_search_matches_prefix_bound_oracle(case):
 @example((6, 3, 12))
 @example((7, 3, 14))
 @example((6, 4, 13))
+@example((6, 4, 14))
+@example((7, 4, 17))
 def test_colour_test_cuts_no_cover(case):
     # the colour test cuts only subtrees that hold no cover: the search finds
     # the first cover of the prefix-class bound alone, or none, in no more nodes
@@ -270,7 +274,7 @@ def test_budget_boundary(case):
 
 # refutations past the oracles' reach, with the node counts in the README;
 # k = 5 is where most children are cut before their covers are made
-KNOWN_REFUTATIONS = {(7, 3, 14): 2_701, (7, 4, 17): 9_097, (7, 5, 17): 63_744}
+KNOWN_REFUTATIONS = {(7, 3, 14): 1_517, (7, 4, 17): 7_590, (7, 5, 17): 44_708}
 
 
 @pytest.mark.parametrize("case", sorted(KNOWN_REFUTATIONS), ids="n{0[0]}-k{0[1]}-N{0[2]}".format)
@@ -287,7 +291,8 @@ def test_cover_7_4_of_length_20():
     assert len(oracles.covered_sets(COVER_7_4, 4)) == 35  # C(7, 4)
 
 
-# ac(8,3) = 20: N = 19 is refuted in 99,822,199 nodes (no test runs it), and
+# ac(8,3) = 20: N = 19 was refuted in 99,822,199 nodes while A_c still counted
+# dead progressions, and has not been re-run since (no test runs it), and
 # this colouring, found by simulated annealing, covers [20]
 COVER_8_3 = (4, 3, 7, 2, 4, 5, 3, 8, 6, 6, 1, 1, 2, 7, 4, 5, 8, 3, 7, 5)
 
@@ -325,16 +330,16 @@ def test_search_frees_its_tables_without_the_collector():
 
 @pytest.mark.slow
 def test_ac_7_5():
-    # N = 15..18 refuted in 3 / 1,537 / 63,744 / 1,503,803 nodes, N = 19 found after 271,860
+    # N = 15..18 refuted in 3 / 1,387 / 44,708 / 823,887 nodes, N = 19 found after 134,164
     result = ac_exact(7, 5)
     assert result.value == 19 and result.refuted_up_to == 18
-    assert result.nodes_explored == 1_840_947
+    assert result.nodes_explored == 1_004_149
     assert verify_cover(result.witness, 7, 5).complete
     assert len(oracles.covered_sets(result.witness.colors, 5)) == 21  # C(7, 5)
 
 
 # refutations taking seconds to minutes, with the node counts in the README
-SLOW_REFUTATIONS = {(7, 3, 15): 217_225, (7, 4, 18): 413_065, (7, 4, 19): 17_102_364}
+SLOW_REFUTATIONS = {(7, 3, 15): 141_940, (7, 4, 18): 255_809, (7, 4, 19): 9_540_067}
 
 
 @pytest.mark.slow
@@ -345,9 +350,9 @@ def test_slow_refutations(case):
 
 @pytest.mark.slow
 def test_ac_7_3():
-    # N = 13..15 refuted in 0 / 2,701 / 217,225 nodes, N = 16 found after 3,089,864
+    # N = 13..15 refuted in 0 / 1,517 / 141,940 nodes, N = 16 found after 2,151,654
     result = ac_exact(7, 3)
     assert result.value == 16 and result.refuted_up_to == 15
-    assert result.nodes_explored == 3_309_790
+    assert result.nodes_explored == 2_295_111
     assert result.witness.colors == (1, 2, 3, 3, 4, 5, 6, 7, 1, 7, 5, 4, 2, 3, 6, 1)
     assert verify_cover(result.witness, 7, 3).complete
