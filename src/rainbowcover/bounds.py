@@ -69,7 +69,7 @@ def _lower_bound(n: int, k: int, N: int, mode: str) -> tuple[int, tuple[int, ...
 def bonferroni_lower_bound(n: int, k: int, N: int, mode: str = "exact-pairs") -> Fraction:
     """Exact rational lower bound on P(some progression in [N] is R-coloured).
 
-    mode "exact-pairs" uses the true pair tallies (from subset moments, see
+    mode "exact-pairs" uses the true pair tallies (by difference classes, see
     count_intersecting_pairs; an oversize request raises BudgetExceededError);
     mode "bounded-pairs" substitutes their entrywise upper bounds, which only
     subtracts more, so the result is a smaller but still valid lower bound.

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
-from math import comb
+from itertools import permutations
+from math import comb, gcd
 from operator import index
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -19,10 +19,9 @@ import numpy as np
 
 from .errors import BudgetExceededError, FamilySizeError, ParameterError
 
-# Cap on the entries, h*C(k,j)*j, of the largest position-subset gather of
-# count_intersecting_pairs. Each entry is 1-2 bytes, plus an 8-byte sort index
-# per row of j; 2^25 admits the n=300, k=3 construction block (27M entries).
-PAIR_ENTRY_LIMIT = 1 << 25
+# Cap on the entries of count_intersecting_pairs: N position counts plus k^2
+# start offsets per resonant difference class. 2^20 admits N = 135301 at k = 3.
+PAIR_ENTRY_LIMIT = 1 << 20
 
 # Rows per block of progression_blocks: bounds every gather made from a block,
 # whatever N is. Larger blocks raised peak memory and made no scan faster.
@@ -197,44 +196,59 @@ def count_progressions(N: int, k: int) -> int:
     return D * N - (k - 1) * (D * (D + 1) // 2)
 
 
+def position_counts(N: int, k: int) -> np.ndarray:
+    """The int64 number of k-progressions in [N] through each 0-based position:
+    a cumsum over the edges of term j's starts j*d .. j*d + N-(k-1)d - 1, each d."""
+    _check_interval(N, k)
+    d = np.arange(1, (N - 1) // (k - 1) + 1)
+    lo = np.arange(k)[:, None] * d
+    edges = np.bincount(lo.ravel(), minlength=N + 1)
+    edges -= np.bincount((lo + (N - (k - 1) * d)).ravel(), minlength=N + 1)
+    return np.cumsum(edges)[:N]
+
+
 def count_intersecting_pairs(N: int, k: int) -> PairIntersectionCounts:
     """Tally unordered pairs of distinct k-progressions in [N] by the exact
-    number of elements they share, from subset moments.
+    number of elements they share, from resonant difference classes.
 
-    Let m_T count the progressions containing a j-set T of positions, and
-    S_j = sum_T C(m_T, 2). For j = 1, m_T is a bincount of all terms; for
-    j >= 2 it is read off the runs of the lexsorted j-subsets of all
-    progressions. A pair sharing i elements shares C(i, j) j-sets, so
-    S_j = sum_i C(i, j) h_i, inverted as h_i = sum_j (-1)^(j-i) C(j, i) S_j.
-    A gather over PAIR_ENTRY_LIMIT entries raises BudgetExceededError up front.
+    Differences d1 <= d2 share two terms only as d1 = g*a, d2 = g*b with
+    a <= b < k coprime; starts s and s + g*e then share #{(i, j) : i*a - j*b = e}
+    terms whatever s, at max(0, min(L1, L2 - g*e) - max(0, -g*e)) placements,
+    L = N - (k-1)d (equal differences: e > 0 only). That gives h_i, i >= 2. All
+    shared terms add up to sum_x C(m_x, 2) over position_counts, which gives
+    h_1, and h_0 = C(h, 2) less the rest. Over PAIR_ENTRY_LIMIT entries, N plus
+    k^2 per class (g, a, b), it raises BudgetExceededError up front.
     """
     _check_interval(N, k)
     h = count_progressions(N, k)
     if h < 2:
         return PairIntersectionCounts((0,) * k, h)
-    # h*C(k,j)*j = h*k*C(k-1,j-1) is largest at j-1 = (k-1)//2
-    entries = h * k * comb(k - 1, (k - 1) // 2)
-    if entries > PAIR_ENTRY_LIMIT:
-        raise BudgetExceededError(
-            f"pair tallies need {entries} gathered entries (h = {h}), "
-            f"over the limit {PAIR_ENTRY_LIMIT}")
-    m = sum(np.bincount(positions.T.ravel(), minlength=N)
-            for _, _, positions in progression_blocks(N, k))
-    # the m_T sum to k*h and are at most h, so the int64 sum stays below k*h^2
-    moments, dtype = [comb(h, 2), int((m * (m - 1)).sum()) // 2], np.min_scalar_type(N)
-    for j in range(2, k):
-        cols = np.array(list(combinations(range(k), j)))
-        # a C-ordered (j, rows) array of the j-subsets' positions in the least dtype,
-        # gathered from the contiguous terms-by-row positions.T; row order is free
-        keys = np.concatenate([positions.T[cols.T].reshape(j, -1).astype(dtype)
-                               for _, _, positions in progression_blocks(N, k)], axis=1)
-        rows = keys[:, np.lexsort(keys)]
-        starts = np.r_[True, (rows[:, 1:] != rows[:, :-1]).any(axis=0), True]
-        runs = np.diff(np.flatnonzero(starts))
-        # runs are at most h long, so the int64 sum stays below h times the row count
-        moments.append(int((runs * (runs - 1)).sum()) // 2)
-    counts = [sum((-1) ** (j - i) * comb(j, i) * moments[j] for j in range(i, k))
-              for i in range(k)]
+    D = (N - 1) // (k - 1)
+    classes, entries = [], N
+    for b in range(1, min(k - 1, D) + 1):  # each b adds at least k^2, so few pass
+        ratios = [(a, b) for a in range(1, b + 1) if gcd(a, b) == 1]
+        classes += ratios
+        entries += k * k * (D // b) * len(ratios)
+        if entries > PAIR_ENTRY_LIMIT:
+            raise BudgetExceededError(f"pair tallies need at least {entries} gathered entries "
+                                      f"(h = {h}), over the limit {PAIR_ENTRY_LIMIT}")
+    tally = np.zeros(k, dtype=np.int64)  # below N placements per entry: int64 sums are exact
+    i, j = np.arange(k), np.arange(k)[:, None]
+    for a, b in classes:
+        e = np.arange(-(k - 1) * b, (k - 1) * a + 1)
+        shared = np.bincount((i * a - j * b).ravel() - e[0], minlength=len(e))
+        keep = (shared > 1) & (e > 0) if a == b else shared > 1
+        g = np.arange(1, D // b + 1)[:, None]
+        delta = g * e[keep]
+        placed = (np.minimum(N - (k - 1) * a * g, N - (k - 1) * b * g - delta)
+                  - np.maximum(-delta, 0))
+        np.add.at(tally, shared[keep], np.maximum(placed, 0).sum(axis=0))
+    counts = tally.tolist()
+    m = position_counts(N, k)
+    # m_x <= k*D < 2N and sum m_x = k*h < 2N^2, and the limit keeps N below 2^20,
+    # so the int64 sum stays below 4N^3 < 2^62
+    counts[1] = int((m * (m - 1)).sum()) // 2 - sum(s * c for s, c in enumerate(counts[2:], 2))
+    counts[0] = comb(h, 2) - sum(counts[1:])
     return PairIntersectionCounts(tuple(counts), h)
 
 

@@ -47,15 +47,15 @@ class Coloring:
     def __post_init__(self):
         object.__setattr__(self, "n", _check_integer("number of colours", self.n, 1))
         given = tuple(self.colors)
-        try:
-            colors = tuple(map(index, given))  # numpy integers pass; 1.5 and "2" do not
-        except TypeError:
-            colors = ()
+        # one pass when every colour is a plain int; others, numpy integers too, one by one
+        colors = given if set(map(type, given)) == {int} else ()
         if not colors or min(colors) < 1 or max(colors) > self.n:
-            for i, c in enumerate(given):  # name the first bad position
-                if not (hasattr(c, "__index__") and 1 <= index(c) <= self.n):
+            for i, c in enumerate(given):  # name the first bad position; no bool is a colour
+                if isinstance(c, bool) or not (hasattr(c, "__index__") and 0 < index(c) <= self.n):
                     raise ParameterError(f"colour {c!r} at position {i + 1} outside 1..{self.n}")
-            raise ParameterError("a colouring needs at least one position")
+            if not given:
+                raise ParameterError("a colouring needs at least one position")
+            colors = tuple(map(index, given))
         object.__setattr__(self, "colors", colors)
 
     @property

@@ -64,7 +64,8 @@ from typing import Optional
 
 import numpy as np
 
-from .combinatorics import _check_count, _check_family_size, _check_interval, progression_blocks
+from .combinatorics import (_check_count, _check_family_size, _check_interval, position_counts,
+                            progression_blocks)
 from .coverage import Coloring, verify_cover
 from .bounds import lower_bound_N
 from .errors import BudgetExceededError
@@ -152,7 +153,7 @@ def _search(n: int, k: int, N: int, budget: int) -> tuple[Optional[tuple[int, ..
     # through any of positions i.. (1 past the end and where there are none,
     # which only weakens the cut); idle[i] is what an unused colour needs
     # there, and no colour needs more.
-    deg = np.bincount(pos.ravel(), minlength=N + 1)
+    deg = np.append(position_counts(N, k), 0)
     most = np.maximum(np.maximum.accumulate(deg[::-1])[::-1], 1).tolist()
     per_colour = comb(n - 1, k - 1)
     idle = [-(-per_colour // m) for m in most]

@@ -374,6 +374,13 @@ class TestCount:
         assert code == 3 and out == ""
         assert "gathered entries" in err
 
+    def test_pairs_at_large_k(self, capsys):
+        # h = 23; the j-subset moments needed 42493880 entries and exited 3
+        code, record, _ = run_json(capsys, "count", "--N", "40", "--k", "20", "--pairs")
+        assert code == 0
+        validate(record, "count")
+        assert sum(record["pair_counts"]) == comb(23, 2)
+
 
 class TestBounds:
     def test_report_with_estimate(self, capsys):
@@ -410,6 +417,13 @@ class TestBounds:
         assert code == 0
         validate(record, "bounds")
         assert sum(record["h_i"]) == comb(record["h"], 2)
+
+    def test_exact_pairs_at_large_k(self, capsys):
+        # h = 66 progressions of 20 terms: the j-subset moments exited 3 here
+        code, record, _ = run_json(capsys, "bounds", "--n", "25", "--k", "20", "--N", "60")
+        assert code == 0
+        validate(record, "bounds")
+        assert record["h"] == 66 and sum(record["h_i"]) == comb(66, 2)
 
 
     @pytest.mark.parametrize("flag", [("--seed", "5"), ("--rng", "pcg64")])
@@ -882,6 +896,7 @@ CAPPED_ARGVS = [
     "exact --n 18 --k 17 --budget 1000",
     "count --N 1000000 --k 3 --pairs",
     "count --N 5790 --k 2 --pairs",
+    "count --N 135301 --k 3 --pairs",
     "construct --n 60 --k 3 --seed 0",
     "construct --n 18 --k 17 --seed 0",
 ]

@@ -29,6 +29,7 @@ from rainbowcover.combinatorics import (
     ColorSetView,
     colex_table,
     colex_unrank,
+    position_counts,
     progression_blocks,
     rainbow_ranks,
 )
@@ -130,6 +131,19 @@ class TestPairCounts:
         for N, k in [(8, 2), (10, 3), (13, 3), (14, 4), (15, 5)]:
             assert list(count_intersecting_pairs(N, k).counts) == oracles.pair_counts(N, k)
 
+    @pytest.mark.parametrize("N, k, counts", [
+        (103, 3, (3082517, 294516, 4267)),
+        (98, 4, (1006919, 187886, 7619, 1152)),
+        (2000, 3, (496674327167, 2324009666, 1663667)),
+        (4243, 3, (10096638139907, 22237539306, 7494907)),
+        (5790, 2, (140337627788295, 97001989140)),
+        (600, 6, (596757072, 39643416, 611017, 160530, 25415, 29700)),
+        (400, 8, (52867629, 9557180, 430753, 96282, 61472, 7800, 8690, 9800)),
+    ])
+    def test_matches_subset_moments(self, N, k, counts):
+        # pinned from the j-subset moment method, too large for the oracle
+        assert count_intersecting_pairs(N, k).counts == counts
+
     def test_budget_guard(self):
         # h = 2.5e11 progressions: refused before anything h-sized is built
         tracemalloc.start()
@@ -153,16 +167,39 @@ class TestPairCounts:
         assert sum(tallies.counts) == comb(tallies.total, 2)
         assert peak < 8 * 2**20
 
-    def test_guard_counts_largest_gather(self, monkeypatch):
-        # the guard's unit is the largest gather, max_j h*C(k,j)*j; for (12, 3)
-        # that is 30 * 3 * 2 = 180 entries
-        for k in range(2, 13):
-            assert max(comb(k, j) * j for j in range(1, k)) == k * comb(k - 1, (k - 1) // 2)
-        monkeypatch.setattr(combinatorics, "PAIR_ENTRY_LIMIT", 180)
+    def test_guard_counts_classes(self, monkeypatch):
+        # the guard's unit is N plus k^2 per resonant difference class
+        # (g*a, g*b); for (12, 3), D = 5 gives g <= 5 at 1:1 and g <= 2 at 1:2,
+        # so 12 + 9 * 7 = 75 entries
+        monkeypatch.setattr(combinatorics, "PAIR_ENTRY_LIMIT", 75)
         assert count_intersecting_pairs(12, 3).counts == (167, 226, 42)
-        monkeypatch.setattr(combinatorics, "PAIR_ENTRY_LIMIT", 179)
-        with pytest.raises(BudgetExceededError):
+        monkeypatch.setattr(combinatorics, "PAIR_ENTRY_LIMIT", 74)
+        with pytest.raises(BudgetExceededError, match="need at least 75 gathered entries"):
             count_intersecting_pairs(12, 3)
+
+    def test_pairs_of_positions_at_the_largest_interval(self):
+        # k = 2 progressions are position pairs, and two of them share at most
+        # one position: h_1 = N*C(N-1, 2) pins the int64 sum of C(m_x, 2)
+        N = 209716
+        tallies = count_intersecting_pairs(N, 2)
+        assert tallies.counts[1] == N * comb(N - 1, 2)
+        assert tallies.counts[0] == comb(comb(N, 2), 2) - tallies.counts[1]
+        with pytest.raises(BudgetExceededError):
+            count_intersecting_pairs(N + 1, 2)
+
+    @pytest.mark.parametrize("N, k", [(40, 20), (31, 30), (60, 20)])
+    def test_large_k_at_small_h(self, N, k):
+        # the j-subset moments refused these, at C(k-1, (k-1)/2) entries a row
+        assert list(count_intersecting_pairs(N, k).counts) == oracles.pair_counts(N, k)
+
+
+class TestPositionCounts:
+    def test_matches_terms(self):
+        for k in range(2, 7):
+            for N in range(1, 41):
+                terms = [p - 1 for s, d in oracles.progressions(N, k)
+                         for p in oracles.progression_terms(s, d, k)]
+                assert position_counts(N, k).tolist() == np.bincount(terms, minlength=N).tolist()
 
 
 class TestHiUpperBounds:

@@ -72,6 +72,13 @@ class TestColoring:
         with pytest.raises(ParameterError, match=r"^colour 2\.0 at position 2 outside 1\.\.3$"):
             Coloring((1, 2.0, 9), 3)
 
+    def test_bool_colour_rejected(self):
+        # a bool is no integer argument anywhere, so True is not colour 1
+        with pytest.raises(ParameterError, match=r"^colour True at position 1 outside 1\.\.2$"):
+            Coloring((True, 2), 2)
+        with pytest.raises(ParameterError, match=r"^colour np\.False_ at position 2 outside 1\.\.2$"):
+            Coloring((1, np.False_), 2)
+
     def test_numpy_integers_become_ints(self):
         col = Coloring(np.array([3, 1, 2], dtype=np.int16), 3)
         assert col.colors == (3, 1, 2) and all(type(c) is int for c in col.colors)
