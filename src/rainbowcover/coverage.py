@@ -13,7 +13,6 @@ from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 from itertools import repeat
 from math import comb
-from operator import index
 from typing import Optional
 
 import numpy as np
@@ -21,6 +20,7 @@ import numpy as np
 from .combinatorics import (
     ColorSetView,
     Progression,
+    _check_colors,
     _check_family_size,
     _check_integer,
     colex_table,
@@ -46,16 +46,9 @@ class Coloring:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_integer("number of colours", self.n, 1))
-        given = tuple(self.colors)
-        # one pass when every colour is a plain int; others, numpy integers too, one by one
-        colors = given if set(map(type, given)) == {int} else ()
-        if not colors or min(colors) < 1 or max(colors) > self.n:
-            for i, c in enumerate(given):  # name the first bad position; no bool is a colour
-                if isinstance(c, bool) or not (hasattr(c, "__index__") and 0 < index(c) <= self.n):
-                    raise ParameterError(f"colour {c!r} at position {i + 1} outside 1..{self.n}")
-            if not given:
-                raise ParameterError("a colouring needs at least one position")
-            colors = tuple(map(index, given))
+        colors = _check_colors(self.colors, self.n)
+        if not colors:
+            raise ParameterError("a colouring needs at least one position")
         object.__setattr__(self, "colors", colors)
 
     @property

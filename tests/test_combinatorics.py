@@ -2,7 +2,6 @@ import itertools
 import re
 import tracemalloc
 from math import comb
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -156,8 +155,9 @@ class TestPairCounts:
         assert peak < 1 << 20
 
     def test_single_positions_need_no_sort(self):
-        # k = 2 has only the j = 1 moment, a bincount of the 4M terms: no
-        # gathered keys and no int64 sort index of 4M rows
+        # k = 2 has no difference class whose pairs share two terms, so h_1
+        # comes from the N position counts alone: no table of the 2M
+        # progressions' 4M terms and no sort
         tracemalloc.start()
         try:
             tallies = count_intersecting_pairs(2000, 2)
@@ -284,45 +284,36 @@ class TestSubsetRanking:
             ColorSet.from_colors(range(1, 101), 200)
 
 
-BRANCHES = pytest.mark.parametrize("limit", [0, 64], ids=["sort", "network"])
-
-
 class TestRainbowRankOffsets:
     """rainbow_ranks reads C(c-1, j) at flat offset (j-1)(n-k) + c-1 of colex_table."""
 
-    @BRANCHES
     @pytest.mark.parametrize("n", [2, 5, 13])
-    def test_n_equals_k_rows_of_one(self, limit, n):
+    def test_n_equals_k_rows_of_one(self, n):
         table = colex_table(n, n)
         assert table.shape == (n, 1)
         positions = np.arange(n)[None, :]
-        with mock.patch.object(combinatorics, "NETWORK_MAX_K", limit):
-            assert rainbow_ranks(np.arange(n, 0, -1), positions, table).tolist() == [0]
-            repeated = np.r_[np.arange(1, n), 1]
-            assert rainbow_ranks(repeated, positions, table).tolist() == [-1]
+        assert rainbow_ranks(np.arange(n, 0, -1), positions, table).tolist() == [0]
+        repeated = np.r_[np.arange(1, n), 1]
+        assert rainbow_ranks(repeated, positions, table).tolist() == [-1]
 
-    @BRANCHES
     @pytest.mark.parametrize("dtype", [np.int16, np.int64])
     @pytest.mark.parametrize("n, k", [(3, 2), (9, 4), (255, 3), (256, 7), (257, 5), (300, 9)])
-    def test_all_top_colour_ranks_minus_one(self, limit, dtype, n, k):
+    def test_all_top_colour_ranks_minus_one(self, dtype, n, k):
         # every gathered index is n-1, the largest: it must stay inside the table
         N = 3 * k
         positions = np.concatenate([p for _, _, p in progression_blocks(N, k)])
         colors = np.full((2, N), n, dtype=dtype)
         table = colex_table(n, k)
-        with mock.patch.object(combinatorics, "NETWORK_MAX_K", limit):
-            assert (rainbow_ranks(colors, positions, table) == -1).all()
-            assert (rainbow_ranks(colors[0], positions, table) == -1).all()
+        assert (rainbow_ranks(colors, positions, table) == -1).all()
+        assert (rainbow_ranks(colors[0], positions, table) == -1).all()
 
-    @BRANCHES
     @pytest.mark.parametrize("dtype", [np.int16, np.int64])
     @pytest.mark.parametrize("n", [256, 257])
     @pytest.mark.parametrize("k", [2, 3, 7])
-    def test_top_subset_ranks_last(self, limit, dtype, n, k):
+    def test_top_subset_ranks_last(self, dtype, n, k):
         colors = np.arange(1, n + 1, dtype=dtype)
         positions = np.arange(n - k, n)[None, :]  # colours n-k+1..n
-        with mock.patch.object(combinatorics, "NETWORK_MAX_K", limit):
-            ranks = rainbow_ranks(colors, positions, colex_table(n, k))
+        ranks = rainbow_ranks(colors, positions, colex_table(n, k))
         assert ranks.tolist() == [comb(n, k) - 1]
 
 
@@ -375,6 +366,11 @@ class TestIntegerArguments:
          "trials must be an integer, got 100.0"),
         (lambda: ConstructParams(seed=True), "seed must be an integer, got True"),
         (lambda: ColorSet.from_rank(0, "6", 3), "palette size n must be an integer, got '6'"),
+        (lambda: ColorSet.from_rank(True, 3, 2), "rank must be an integer, got True"),
+        (lambda: ColorSet.from_rank(1.5, 3, 2), "rank must be an integer, got 1.5"),
+        # colours as Coloring reads them: True was once colour 1, 1.5 a TypeError
+        (lambda: ColorSet.from_colors([True, 2], 2), "colour True at position 1 outside 1..2"),
+        (lambda: ColorSet.from_colors([1.5, 2], 2), "colour 1.5 at position 1 outside 1..2"),
     ])
     def test_non_integer_rejected(self, call, message):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
@@ -387,5 +383,6 @@ class TestIntegerArguments:
         params = ConstructParams(seed=np.int64(5), samples_per_round=np.int32(2),
                                  max_rounds=np.uint8(3))
         stored = (Coloring((1, 2), np.int64(2)).n, config.max_N, config.node_budget,
-                  params.seed, params.samples_per_round, params.max_rounds)
-        assert stored == (2, 9, 10, 5, 2, 3) and all(type(v) is int for v in stored)
+                  params.seed, params.samples_per_round, params.max_rounds,
+                  ColorSet.from_rank(np.int64(1), 3, 2).rank)
+        assert stored == (2, 9, 10, 5, 2, 3, 1) and all(type(v) is int for v in stored)

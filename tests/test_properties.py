@@ -36,7 +36,6 @@ from rainbowcover import (
 from rainbowcover import bounds, cli, combinatorics, coverage
 from rainbowcover.combinatorics import (
     BLOCK_ROWS,
-    NETWORK_MAX_K,
     ColorSetView,
     colex_table,
     colex_unrank,
@@ -150,10 +149,10 @@ def test_rainbow_ranks_batch_matches_rows(case, dtype):
 
 @st.composite
 def long_progression_batches(draw):
-    """(n, k, rows): k on both sides of NETWORK_MAX_K, each row distinct colours
-    with up to two positions recoloured, so rows with and without rainbow
-    progressions both occur."""
-    k = draw(st.integers(2, NETWORK_MAX_K + 6))
+    """(n, k, rows): k up to 64, each row distinct colours with up to two
+    positions recoloured, so rows with and without rainbow progressions both
+    occur."""
+    k = draw(st.integers(2, 64))
     n = draw(st.integers(k, k + 4))
     N = draw(st.integers(k, n))
     rows = []
@@ -168,19 +167,18 @@ def long_progression_batches(draw):
 
 @settings(deadline=None)
 @given(long_progression_batches(), st.sampled_from([np.int16, np.int64]))
-def test_rainbow_ranks_network_and_sort_match_oracle(case, dtype):
+@example((20, 17, [[*range(20, 0, -1)], [*range(1, 20), 9]]), np.int16)
+@example((66, 64, [[*range(1, 67)], [*range(66, 1, -1), 30]]), np.int64)
+@example((100, 98, [[*range(100, 0, -1)], [*range(1, 100), 50]]), np.int16)
+def test_rainbow_ranks_of_long_progressions_match_oracle(case, dtype):
     n, k, rows = case
     batch = np.array(rows, dtype=dtype)
     positions, table = oracle_positions(batch.shape[1], k), colex_table(n, k)
     expected = [[oracles.subset_rank(row[p] for p in terms)
                  if len({row[p] for p in terms}) == k else -1
                  for terms in positions.tolist()] for row in rows]
-    # force each sort in turn: the network for every k, then np.sort for every k
-    for limit in (k, k - 1):
-        with mock.patch.object(combinatorics, "NETWORK_MAX_K", limit):
-            assert rainbow_ranks(batch, positions, table).tolist() == expected
-            assert rainbow_ranks(batch[0], positions, table).tolist() == expected[0]
     assert rainbow_ranks(batch, positions, table).tolist() == expected
+    assert rainbow_ranks(batch[0], positions, table).tolist() == expected[0]
 
 
 @st.composite
@@ -240,11 +238,9 @@ def test_rainbow_ranks_at_dtype_boundaries_match_oracle(case, dtype):
     expected = [[oracles.subset_rank(row[p] for p in terms)
                  if len({row[p] for p in terms}) == k else -1
                  for terms in positions.tolist()] for row in rows]
-    for limit in (k, k - 1):  # the network, then np.sort
-        with mock.patch.object(combinatorics, "NETWORK_MAX_K", limit):
-            assert rainbow_ranks(batch, positions, table).tolist() == expected
-            for row, ranks in zip(batch, expected):
-                assert rainbow_ranks(row, positions, table).tolist() == ranks
+    assert rainbow_ranks(batch, positions, table).tolist() == expected
+    for row, ranks in zip(batch, expected):
+        assert rainbow_ranks(row, positions, table).tolist() == ranks
 
 
 @st.composite
